@@ -5,10 +5,13 @@
 // end-to-end gravity traversal per kernel for context. Results go to
 // BENCH_kernels.json (override with --out=<path>).
 //
-// Two list shapes are measured:
+// List shapes measured, monopole only at bucket 64:
 //   direct_sum — opening angle ~0 opens everything, so every bucket's
 //                list is pure direct (pp) work: the headline SoA number;
 //   bh_theta07 — theta = 0.7 Barnes-Hut mix of node and leaf work.
+// The node phase alone is timed at the bench_step gravity shape (theta
+// 0.7, quadrupole on, bucket 16) on lists holding only the node
+// approximations: nodeBatch against per-node node() calls.
 
 #include <algorithm>
 #include <cstdio>
@@ -62,9 +65,11 @@ struct ListSet {
   std::uint64_t pn = 0;  ///< particle-node interactions recorded
 };
 
+/// Record `bucket`'s interactions with the subtree at `node`; with
+/// `nodes_only` the opened leaves are left out of the list.
 void recordWalk(Node<CentroidData>* node, Node<CentroidData>* bucket,
                 const GravityVisitor& v, InteractionList<CentroidData>& list,
-                ListSet& set) {
+                ListSet& set, bool nodes_only) {
   if (node == nullptr || node->type == NodeType::kEmptyLeaf) return;
   const auto src = SpatialNode<CentroidData>::of(*node);
   SpatialNode<CentroidData> tgt(bucket->data, bucket->box, bucket->key,
@@ -75,20 +80,20 @@ void recordWalk(Node<CentroidData>* node, Node<CentroidData>* bucket,
     return;
   }
   if (node->leaf()) {
+    if (nodes_only) return;
     list.addLeaf(set.arena.intern(*node), node->n_particles);
     set.pp += static_cast<std::uint64_t>(node->n_particles) *
               static_cast<std::uint64_t>(bucket->n_particles);
     return;
   }
   for (int c = 0; c < node->n_children; ++c) {
-    recordWalk(node->child(c), bucket, v, list, set);
+    recordWalk(node->child(c), bucket, v, list, set, nodes_only);
   }
 }
 
-/// Build a local tree and record every bucket's interaction lists under
-/// the given opening angle.
-ListSet recordLists(std::vector<Particle>& ps, Node<CentroidData>* root,
-                    const GravityParams& params) {
+/// Record every bucket's interaction lists under the given opening angle.
+ListSet recordLists(Node<CentroidData>* root, const GravityParams& params,
+                    bool nodes_only = false) {
   ListSet set;
   forEachLeaf(root, [&](Node<CentroidData>* l) {
     if (l->type == NodeType::kLeaf) set.buckets.push_back(l);
@@ -96,9 +101,8 @@ ListSet recordLists(std::vector<Particle>& ps, Node<CentroidData>* root,
   set.lists.resize(set.buckets.size());
   const GravityVisitor v{params};
   for (std::size_t b = 0; b < set.buckets.size(); ++b) {
-    recordWalk(root, set.buckets[b], v, set.lists[b], set);
+    recordWalk(root, set.buckets[b], v, set.lists[b], set, nodes_only);
   }
-  (void)ps;
   return set;
 }
 
@@ -168,17 +172,46 @@ struct CaseResult {
   double speedup() const { return visitor_s / batched_s; }
 };
 
-CaseResult runCase(const char* name, std::vector<Particle>& ps,
-                   Node<CentroidData>* root, double theta, int reps) {
+CaseResult runCase(const char* name, Node<CentroidData>* root, double theta,
+                   int reps) {
   GravityParams params;
   params.use_quadrupole = false;
   params.softening = 1e-3;
   params.theta = theta;
-  ListSet set = recordLists(ps, root, params);
+  ListSet set = recordLists(root, params);
   CaseResult r;
   r.name = name;
   r.theta = theta;
   r.pp = set.pp;
+  r.pn = set.pn;
+  r.visitor_s = bestDrain(set, PairwiseGravityVisitor{params}, reps);
+  r.batched_s = bestDrain(set, GravityVisitor{params}, reps);
+  return r;
+}
+
+/// The node phase alone: particle-node interaction throughput of
+/// nodeBatch against per-node node() calls on the same node-only lists.
+struct NodePhaseResult {
+  double theta = 0.0;
+  int bucket_size = 0;
+  std::uint64_t pn = 0;
+  double visitor_s = 0.0;
+  double batched_s = 0.0;
+
+  double visitorGpn() const { return pn / visitor_s / 1e9; }
+  double batchedGpn() const { return pn / batched_s / 1e9; }
+  double speedup() const { return visitor_s / batched_s; }
+};
+
+NodePhaseResult runNodePhase(Node<CentroidData>* root, double theta,
+                             int bucket_size, int reps) {
+  GravityParams params;
+  params.softening = 1e-3;
+  params.theta = theta;
+  ListSet set = recordLists(root, params, /*nodes_only=*/true);
+  NodePhaseResult r;
+  r.theta = theta;
+  r.bucket_size = bucket_size;
   r.pn = set.pn;
   r.visitor_s = bestDrain(set, PairwiseGravityVisitor{params}, reps);
   r.batched_s = bestDrain(set, GravityVisitor{params}, reps);
@@ -255,6 +288,7 @@ struct E2eCase {
 
 void writeJson(const std::string& path, std::size_t n, int bucket_size,
                const std::vector<CaseResult>& cases,
+               const NodePhaseResult& node_phase,
                const std::vector<E2eCase>& e2e, const E2eCase& headline) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -275,7 +309,18 @@ void writeJson(const std::string& path, std::size_t n, int bucket_size,
         c.visitorGpairs(), c.batchedGpairs(), c.speedup(),
         i + 1 < cases.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"end_to_end_sweep\": [\n");
+  std::fprintf(
+      f,
+      "  ],\n  \"node_phase\": {\"theta\": %g, \"bucket_size\": %d, "
+      "\"quadrupole\": true, \"pn_interactions\": %llu, "
+      "\"visitor_s\": %.6f, \"batched_s\": %.6f, "
+      "\"visitor_gpn_per_s\": %.4f, \"batched_gpn_per_s\": %.4f, "
+      "\"pn_throughput_speedup\": %.3f},\n",
+      node_phase.theta, node_phase.bucket_size,
+      static_cast<unsigned long long>(node_phase.pn), node_phase.visitor_s,
+      node_phase.batched_s, node_phase.visitorGpn(), node_phase.batchedGpn(),
+      node_phase.speedup());
+  std::fprintf(f, "  \"end_to_end_sweep\": [\n");
   for (std::size_t i = 0; i < e2e.size(); ++i) {
     const E2eCase& c = e2e[i];
     std::fprintf(
@@ -317,6 +362,7 @@ int main(int argc, char** argv) {
 
   auto ps = makeParticles(uniformCube(n, 12345));
   assignKeys(ps, kUniverse);
+  auto node_ps = ps;  // the node-phase tree owns its own particle order
   NodeArena<CentroidData> arena;
   BuildOptions opts;
   opts.bucket_size = bucket_size;
@@ -327,10 +373,10 @@ int main(int argc, char** argv) {
   std::vector<CaseResult> cases;
   // theta -> 0 opens every node: pure particle-particle lists. The theta
   // sweep moves the mix towards node-approximation work.
-  cases.push_back(runCase("direct_sum", ps, root, 1e-6, reps));
-  cases.push_back(runCase("bh_theta05", ps, root, 0.5, reps));
-  cases.push_back(runCase("bh_theta07", ps, root, 0.7, reps));
-  cases.push_back(runCase("bh_theta10", ps, root, 1.0, reps));
+  cases.push_back(runCase("direct_sum", root, 1e-6, reps));
+  cases.push_back(runCase("bh_theta05", root, 0.5, reps));
+  cases.push_back(runCase("bh_theta07", root, 0.7, reps));
+  cases.push_back(runCase("bh_theta10", root, 1.0, reps));
 
   std::printf("%-12s %8s %14s %14s %16s %16s %9s\n", "case", "theta",
               "pp pairs", "pn pairs", "visitor Gpair/s", "batched Gpair/s",
@@ -342,6 +388,22 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(c.pn), c.visitorGpairs(),
                 c.batchedGpairs(), c.speedup());
   }
+
+  const int node_bucket_size = 16;
+  NodeArena<CentroidData> node_arena;
+  BuildOptions node_opts;
+  node_opts.bucket_size = node_bucket_size;
+  auto* node_root = buildTree<CentroidData>(OctTreeType{}, node_arena,
+                                            std::span<Particle>(node_ps),
+                                            kUniverse, node_opts);
+  const NodePhaseResult node_phase =
+      runNodePhase(node_root, 0.7, node_bucket_size, reps);
+  std::printf("\nnode phase (theta 0.7, quadrupole, bucket %d): %llu pn "
+              "pairs, visitor %.3f Gpn/s, batched %.3f Gpn/s (%.2fx)\n",
+              node_bucket_size,
+              static_cast<unsigned long long>(node_phase.pn),
+              node_phase.visitorGpn(), node_phase.batchedGpn(),
+              node_phase.speedup());
 
   const std::size_t e2e_n = std::min<std::size_t>(n, 20000);
   const double e2e_thetas[] = {0.5, 0.7, 1.0};
@@ -364,7 +426,7 @@ int main(int argc, char** argv) {
   }
   const E2eCase& headline = e2e[1];  // theta = 0.7, the comparison anchor
 
-  writeJson(out, n, bucket_size, cases, e2e, headline);
+  writeJson(out, n, bucket_size, cases, node_phase, e2e, headline);
   std::printf("results written to %s\n", out.c_str());
   return 0;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -7,6 +8,26 @@
 #include "apps/gravity/centroid_data.hpp"
 #include "core/interaction_list.hpp"
 #include "tree/node.hpp"
+
+// Function multiversioning for the batched kernels: GCC and Clang emit a
+// default, an AVX2 and an AVX-512F body and pick one at load time from the
+// host CPU, so a portable binary still runs 4- and 8-wide lanes where the
+// units exist. Other architectures (and compilers without the attribute)
+// compile the plain body. The build uses -ffp-contract=off, so no clone
+// fuses a multiply-add that another rounds twice: every clone computes
+// the same bits. ThreadSanitizer builds compile the plain body too: the
+// loader calls the clone resolver before the TSan runtime has started,
+// and GCC instruments the resolver, so the binary would crash at startup.
+#if defined(__x86_64__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__)
+#if __has_attribute(target_clones)
+#define PARATREET_SIMD_CLONES \
+  __attribute__((target_clones("default", "avx2", "avx512f")))
+#endif
+#endif
+#ifndef PARATREET_SIMD_CLONES
+#define PARATREET_SIMD_CLONES
+#endif
 
 namespace paratreet {
 
@@ -65,6 +86,7 @@ inline void gravExact(const Particle& source, const Vec3& pos,
 /// Particle::order — index identity, not the inline path's exact
 /// floating-point dr2 == 0 test — and the `+ (1.0 - mask)` term keeps the
 /// masked lane's divisor nonzero.
+PARATREET_SIMD_CLONES
 inline void gravExactBatch(const SoaSources& src, const SoaTargets& tgt,
                            const GravityParams& params,
                            SpatialNode<CentroidData>& target) {
@@ -131,6 +153,131 @@ inline void gravExactBatch(const SoaSources& src, const SoaTargets& tgt,
   }
 }
 
+namespace detail {
+
+/// A block of node multipoles derived into SoA form for gravApproxBatch:
+/// centroid, G·m and the traceless quadrupole scaled by G.
+struct MultipoleBlock {
+  static constexpr int kSize = 64;
+  double cx[kSize], cy[kSize], cz[kSize], gm[kSize];
+  double qxx[kSize], qxy[kSize], qxz[kSize], qyy[kSize], qyz[kSize],
+      qzz[kSize];
+
+  /// Derive node `k` of the block from `d` (the arithmetic of
+  /// CentroidData::centroid() and quadrupole(), one reciprocal of the mass).
+  void set(int k, const CentroidData& d, double G) {
+    const double m = d.sum_mass;
+    const Vec3 c = m > 0.0 ? d.moment * (1.0 / m) : Vec3{};
+    SymTensor3 sc = d.second;
+    sc.addOuter(c, -m);
+    const double tr = sc.trace();
+    cx[k] = c.x;
+    cy[k] = c.y;
+    cz[k] = c.z;
+    gm[k] = G * m;
+    qxx[k] = G * (3.0 * sc.xx - tr);
+    qxy[k] = G * (3.0 * sc.xy);
+    qxz[k] = G * (3.0 * sc.xz);
+    qyy[k] = G * (3.0 * sc.yy - tr);
+    qyz[k] = G * (3.0 * sc.yz);
+    qzz[k] = G * (3.0 * sc.zz - tr);
+  }
+};
+
+/// One particle-node term of gravApprox against block entry `k`, with one
+/// 1/sqrt and r^-3, r^-5, r^-7 formed by multiplication.
+template <bool kQuadrupole>
+[[gnu::always_inline]] inline void approxTerm(const MultipoleBlock& b, int k,
+                                              double px, double py, double pz,
+                                              double eps2, double& ax,
+                                              double& ay, double& az,
+                                              double& ph) {
+  const double dx = px - b.cx[k];
+  const double dy = py - b.cy[k];
+  const double dz = pz - b.cz[k];
+  const double r2 = dx * dx + dy * dy + dz * dz + eps2;
+  const double inv_r = 1.0 / std::sqrt(r2);
+  const double inv_r2 = inv_r * inv_r;
+  const double inv_r3 = inv_r * inv_r2;
+  const double gm_inv_r3 = b.gm[k] * inv_r3;
+  ax -= gm_inv_r3 * dx;
+  ay -= gm_inv_r3 * dy;
+  az -= gm_inv_r3 * dz;
+  ph -= b.gm[k] * inv_r;
+  if constexpr (kQuadrupole) {
+    const double qdx = b.qxx[k] * dx + b.qxy[k] * dy + b.qxz[k] * dz;
+    const double qdy = b.qxy[k] * dx + b.qyy[k] * dy + b.qyz[k] * dz;
+    const double qdz = b.qxz[k] * dx + b.qyz[k] * dy + b.qzz[k] * dz;
+    const double qrr = dx * qdx + dy * qdy + dz * qdz;
+    const double inv_r5 = inv_r3 * inv_r2;
+    const double radial = 2.5 * qrr * (inv_r5 * inv_r2);
+    ax += qdx * inv_r5 - radial * dx;
+    ay += qdy * inv_r5 - radial * dy;
+    az += qdz * inv_r5 - radial * dz;
+    ph -= 0.5 * qrr * inv_r5;
+  }
+}
+
+/// Every target of the bucket against the first `n` entries of one block:
+/// 8 explicit accumulation lanes, a scalar tail, and a fixed-order
+/// reduction applied to the target once per block.
+template <bool kQuadrupole>
+[[gnu::always_inline]] inline void approxBlock(
+    const MultipoleBlock& b, int n, const SoaTargets& tgt, double eps2,
+    SpatialNode<CentroidData>& target) {
+  constexpr int kLanes = 8;
+  static_assert(MultipoleBlock::kSize % kLanes == 0);
+  for (int i = 0; i < tgt.n; ++i) {
+    const double px = tgt.x[i];
+    const double py = tgt.y[i];
+    const double pz = tgt.z[i];
+    double ax[kLanes] = {}, ay[kLanes] = {}, az[kLanes] = {}, ph[kLanes] = {};
+    int k = 0;
+    for (; k + kLanes <= n; k += kLanes) {
+      for (int l = 0; l < kLanes; ++l) {
+        approxTerm<kQuadrupole>(b, k + l, px, py, pz, eps2, ax[l], ay[l],
+                                az[l], ph[l]);
+      }
+    }
+    double tax = 0.0, tay = 0.0, taz = 0.0, tph = 0.0;
+    for (; k < n; ++k) {
+      approxTerm<kQuadrupole>(b, k, px, py, pz, eps2, tax, tay, taz, tph);
+    }
+    for (int l = 0; l < kLanes; ++l) {
+      tax += ax[l];
+      tay += ay[l];
+      taz += az[l];
+      tph += ph[l];
+    }
+    target.applyAcceleration(i, Vec3{tax, tay, taz});
+    target.applyPotential(i, tph);
+  }
+}
+
+}  // namespace detail
+
+/// Batched multipole gravity over a bucket's node-approximation list: the
+/// SoA counterpart of calling gravApprox for every (target, node) pair.
+/// Nodes are taken a block at a time; each node's multipole is derived
+/// once into the stack block, then every target streams the block in
+/// detail::approxBlock.
+PARATREET_SIMD_CLONES
+inline void gravApproxBatch(const CentroidData* nodes, int n,
+                            const SoaTargets& tgt, const GravityParams& params,
+                            SpatialNode<CentroidData>& target) {
+  const double eps2 = params.softening * params.softening;
+  detail::MultipoleBlock block{};
+  for (int base = 0; base < n; base += detail::MultipoleBlock::kSize) {
+    const int m = std::min(n - base, detail::MultipoleBlock::kSize);
+    for (int k = 0; k < m; ++k) block.set(k, nodes[base + k], params.G);
+    if (params.use_quadrupole) {
+      detail::approxBlock<true>(block, m, tgt, eps2, target);
+    } else {
+      detail::approxBlock<false>(block, m, tgt, eps2, target);
+    }
+  }
+}
+
 /// The Barnes-Hut gravity Visitor (paper Fig 7). A node is opened when
 /// the target bucket's box intersects the node's opening sphere — the
 /// sphere about the node centroid whose radius is b_max / theta, with
@@ -177,22 +324,13 @@ struct GravityVisitor {
     }
   }
 
-  /// Batch hook (EvalKernel::kBatched): one pass over the bucket's whole
-  /// node-approximation list. The summaries arrive contiguous, so each
-  /// target streams them without pointer chasing.
+  /// Batch hook (EvalKernel::kBatched): the bucket's whole
+  /// node-approximation list, arriving contiguous, through the vectorized
+  /// multipole kernel.
   void nodeBatch(const CentroidData* nodes, int n,
                  SpatialNode<CentroidData>& target,
                  const SoaTargets& tgt) const {
-    for (int i = 0; i < tgt.n; ++i) {
-      Vec3 accel{};
-      double phi = 0.0;
-      const Vec3 pos{tgt.x[i], tgt.y[i], tgt.z[i]};
-      for (int k = 0; k < n; ++k) {
-        gravApprox(nodes[k], pos, params, accel, phi);
-      }
-      target.applyAcceleration(i, accel);
-      target.applyPotential(i, phi);
-    }
+    gravApproxBatch(nodes, n, tgt, params, target);
   }
 
   /// Batch hook (EvalKernel::kBatched): the bucket's direct list,

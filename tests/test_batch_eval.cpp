@@ -16,6 +16,7 @@
 #include "core/driver.hpp"
 #include "core/forest.hpp"
 #include "observability/instrumentation.hpp"
+#include "util/rng.hpp"
 
 namespace paratreet {
 namespace {
@@ -389,6 +390,89 @@ TEST(BatchEval, InteractionCountersMatchAcrossKernels) {
   EXPECT_GT(vpn, 0u);
   EXPECT_EQ(vpp, bpp);
   EXPECT_EQ(vpn, bpn);
+}
+
+/// `n` node summaries of small random clumps, all on the +x side of the
+/// unit cube about the origin so that no force sum cancels.
+std::vector<CentroidData> clumpNodes(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<CentroidData> nodes;
+  for (int k = 0; k < n; ++k) {
+    const Vec3 centre(rng.uniform(2.0, 5.0), rng.uniform(-2.0, 2.0),
+                      rng.uniform(-2.0, 2.0));
+    std::vector<Particle> ps(5);
+    for (auto& p : ps) {
+      p.position = centre + Vec3(rng.uniform(-0.3, 0.3),
+                                 rng.uniform(-0.3, 0.3),
+                                 rng.uniform(-0.3, 0.3));
+      p.mass = rng.uniform(0.1, 1.0);
+    }
+    nodes.emplace_back(ps.data(), static_cast<int>(ps.size()));
+  }
+  return nodes;
+}
+
+TEST(GravityNodeBatch, MatchesPerNodeCalls) {
+  // Node counts straddle the 8-wide lanes (7, 8, 9) and the 64-node
+  // derived block (65); the zero-mass summary is an empty node.
+  std::vector<Particle> bucket = makeParticles(uniformCube(13, 5));
+  for (auto& p : bucket) p.position = p.position - Vec3(0.5);
+  std::vector<double> x, y, z, order;
+  for (const auto& p : bucket) {
+    x.push_back(p.position.x);
+    y.push_back(p.position.y);
+    z.push_back(p.position.z);
+    order.push_back(static_cast<double>(p.order));
+  }
+  const SoaTargets tgt{x.data(), y.data(), z.data(), order.data(),
+                       static_cast<int>(bucket.size())};
+  const OrientedBox box{Vec3(-0.5), Vec3(0.5)};
+  const int n_bucket = static_cast<int>(bucket.size());
+  for (const int n : {0, 1, 7, 8, 9, 65}) {
+    for (const bool quadrupole : {true, false}) {
+      for (const double G : {1.0, 4.3}) {
+        for (const bool with_empty : {false, true}) {
+          if (with_empty && n == 0) continue;
+          auto nodes = clumpNodes(n, static_cast<std::uint64_t>(n) + 11);
+          if (with_empty) {
+            nodes[static_cast<std::size_t>(n / 2)] = CentroidData{};
+          }
+          GravityVisitor v;
+          v.params.use_quadrupole = quadrupole;
+          v.params.G = G;
+          auto batched = bucket;
+          auto reference = bucket;
+          CentroidData tdata;
+          SpatialNode<CentroidData> batch_target(tdata, box, keys::kRoot,
+                                                 n_bucket, batched.data());
+          v.nodeBatch(nodes.data(), n, batch_target, tgt);
+          SpatialNode<CentroidData> ref_target(tdata, box, keys::kRoot,
+                                               n_bucket, reference.data());
+          for (const auto& d : nodes) {
+            v.node(SpatialNode<CentroidData>(d, box, keys::kRoot, 0, nullptr),
+                   ref_target);
+          }
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " quadrupole=" << quadrupole
+                       << " G=" << G << " with_empty=" << with_empty);
+          expectCloseResults(reference, batched, 1e-12);
+        }
+      }
+    }
+  }
+}
+
+TEST(GravityNodeBatch, BatchedTraversalIsBitwiseRepeatable) {
+  // The vectorized kernels' lane sums are reduced in a fixed order, so on
+  // the deterministic configuration two batched runs agree bitwise.
+  rts::Runtime rt({2, 1});
+  const auto a = runGravity<KdTreeType, GravityVisitor>(
+      rt, bitwiseConfig(), TraversalStyle::kTransposed, EvalKernel::kBatched,
+      {}, 600);
+  const auto b = runGravity<KdTreeType, GravityVisitor>(
+      rt, bitwiseConfig(), TraversalStyle::kTransposed, EvalKernel::kBatched,
+      {}, 600);
+  expectBitwiseResults(a, b);
 }
 
 }  // namespace
