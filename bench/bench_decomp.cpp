@@ -5,8 +5,9 @@
 // splitter finding + scatter). Results go to BENCH_decomp.json
 // (override with --out=<path>).
 //
-// The serial sort path is worker-count independent (it runs on the
-// caller), so it is measured once at 1 worker as the baseline; the
+// Every partition decomposition type is swept (the Subtrees stay
+// octree). The serial sort path is worker-count independent (it runs on
+// the caller), so it is measured once at 1 worker as the baseline; the
 // histogram path is swept over {1, 2, 4, 8} workers. The two paths are
 // also cross-checked for *identical* per-particle partition and subtree
 // assignment — the bench exits nonzero on any divergence, so a perf run
@@ -122,7 +123,8 @@ int main(int argc, char** argv) {
   std::vector<CaseResult> cases;
   bool match = true;
 
-  for (auto type : {DecompType::eSfc, DecompType::eOct}) {
+  for (auto type : {DecompType::eSfc, DecompType::eOct, DecompType::eKd,
+                    DecompType::eLongest}) {
     std::vector<std::pair<int, int>> sort_assign;
     CaseResult sort_case;
     sort_case.decomp = toString(type);

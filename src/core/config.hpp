@@ -109,7 +109,8 @@ struct Configuration {
   DecompImpl decomp_impl = DecompImpl::kHistogram;
   /// Candidate splitter values probed per unresolved splitter per
   /// histogram refinement round (>= 1); more probes means fewer counting
-  /// passes at larger per-pass histograms.
+  /// passes at larger per-pass histograms. Only the key-based
+  /// decompositions (eSfc, eOct) probe; binary splits select exactly.
   int splitter_probes = 15;
   /// Minimum numbers of chares; actual counts may exceed (eOct rounding).
   int min_partitions = 8;

@@ -92,6 +92,16 @@ class Driver {
     }
     if (instr.metrics != nullptr) rt.attachMetrics(instr.metrics);
     if (instr.trace != nullptr) rt.attachTrace(instr.trace);
+    // Detach on every exit, exceptions included: the registry and trace
+    // buffer belong to the caller, who may destroy them once run() ends.
+    struct Detach {
+      rts::Runtime& rt;
+      const Instrumentation& instr;
+      ~Detach() {
+        if (instr.metrics != nullptr) rt.attachMetrics(nullptr);
+        if (instr.trace != nullptr) rt.attachTrace(nullptr);
+      }
+    } detach{rt, instr};
     // A scheduled rank crash or wedge is only *detectable* through the
     // drain watchdog, so arm it with a generous default when the app
     // didn't. (Heartbeats turn a wedge into a crash, but the drain still
@@ -254,8 +264,6 @@ class Driver {
         if (dead.empty() || !ckpt_on) {
           // A genuine hang (or a crash with checkpointing disabled):
           // nothing to recover from — surface the diagnostic.
-          if (instr.metrics != nullptr) rt.attachMetrics(nullptr);
-          if (instr.trace != nullptr) rt.attachTrace(nullptr);
           throw;
         }
         if (conf.recovery.max_recoveries >= 0 &&
@@ -325,8 +333,6 @@ class Driver {
         if (recovery_seconds != nullptr) recovery_seconds->add(timer.seconds());
       }
     }
-    if (instr.metrics != nullptr) rt.attachMetrics(nullptr);
-    if (instr.trace != nullptr) rt.attachTrace(nullptr);
   }
 
   /// The engine; valid during and after run().

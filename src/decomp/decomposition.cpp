@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <limits>
 #include <optional>
 #include <queue>
 #include <tuple>
@@ -357,18 +356,13 @@ int OctDecomposition::pieceOf(const Particle& p) const {
 
 namespace {
 
-/// Order-preserving (w.r.t. double <) mapping from double to uint64 and
-/// back, so split planes can be found by integer bisection. -0.0 maps
-/// just below +0.0 — a tie-break refinement of the double order, which
-/// leaves every order statistic double-equal to the nth_element result.
+/// Order-preserving (w.r.t. double <) mapping from double to uint64, so
+/// split planes are selected in a total order. -0.0 maps just below +0.0
+/// — a tie-break refinement of the double order, which leaves every order
+/// statistic double-equal to the nth_element result.
 std::uint64_t mapDouble(double x) {
   const auto u = std::bit_cast<std::uint64_t>(x);
   return (u >> 63) ? ~u : (u | (std::uint64_t{1} << 63));
-}
-
-double unmapDouble(std::uint64_t u) {
-  return (u >> 63) ? std::bit_cast<double>(u & ~(std::uint64_t{1} << 63))
-                   : std::bit_cast<double>(~u);
 }
 
 }  // namespace
@@ -442,28 +436,38 @@ int BinarySplitDecomposition::splitRecursive(std::span<Particle> particles,
 
 int BinarySplitDecomposition::findSplittersHistogram(
     std::span<Particle> particles, const OrientedBox& universe, int n_pieces,
-    Target target, ParallelFor& par, int probes,
+    Target target, ParallelFor& par, int /*probes*/,
     const decomp::SortedKeyScratch* /*scratch*/) {
-  assert(n_pieces > 0 && probes >= 1);
+  assert(n_pieces > 0);
   const std::size_t n = particles.size();
   const int chunks = std::max(1, par.ways());
   nodes_.clear();
   regions_.clear();
   regions_.resize(static_cast<std::size_t>(n_pieces));
 
+  // Gather coordinates once into compact records; every region below
+  // owns a contiguous record range, so selection and partitioning touch
+  // 32-byte records instead of the wide Particle structs.
+  struct Record {
+    double x[3];
+    std::size_t index;
+  };
+  std::vector<Record> recs(n);
+  par.run(chunks, [&](int c) {
+    const auto cr = decomp::chunkOf(n, chunks, c);
+    for (std::size_t i = cr.begin; i < cr.end; ++i) {
+      const Vec3& pos = particles[i].position;
+      recs[i] = {{pos.x, pos.y, pos.z}, i};
+    }
+  });
+
   // Level-synchronous construction of the same plane tree the recursive
-  // sort path builds: each level finds every active region's split plane
-  // (the cut-th order statistic of its coordinates, via integer bisection
-  // over mapDouble space) with shared counting passes. Codes stored in
-  // node links / root_ during construction:
-  //   >= 0             child node index
-  //   -1 .. -n_pieces  final leaf, piece = -code - 1
-  //   <  -n_pieces     pending region a = -code - n_pieces - 1
+  // sort path builds (nodes_ in breadth-first order).
   struct Pending {
     Key key;
     int depth;
     OrientedBox box;
-    std::size_t count;
+    std::size_t begin, count;  ///< record range
     int np, first_piece;
     int parent;  ///< node whose link to overwrite; -1 = root_
     bool is_left;
@@ -473,144 +477,61 @@ int BinarySplitDecomposition::findSplittersHistogram(
     else if (pd.is_left) nodes_[static_cast<std::size_t>(pd.parent)].left = code;
     else nodes_[static_cast<std::size_t>(pd.parent)].right = code;
   };
-  // Descend the partial tree; read-only during counting passes.
-  auto resolveCode = [&](const Particle& p) {
-    int cur = root_;
-    while (cur >= 0) {
-      const PlaneNode& nd = nodes_[static_cast<std::size_t>(cur)];
-      cur = p.position[nd.dim] < nd.plane ? nd.left : nd.right;
-    }
-    return cur;
-  };
 
+  std::vector<std::size_t> leaf_begin(static_cast<std::size_t>(n_pieces));
   std::vector<Pending> pending{
-      {keys::kRoot, 0, universe, n, n_pieces, 0, -1, false}};
-  std::vector<std::vector<std::size_t>> hist(
-      static_cast<std::size_t>(chunks));
-
+      {keys::kRoot, 0, universe, 0, n, n_pieces, 0, -1, false}};
   while (!pending.empty()) {
-    // Finalize single-piece regions; the rest become this level's active
-    // set, their slots holding pending codes for the passes below.
     std::vector<Pending> active;
     for (const auto& pd : pending) {
       if (pd.np == 1) {
         writeSlot(pd, -(pd.first_piece + 1));
         regions_[static_cast<std::size_t>(pd.first_piece)] =
             SubtreeRegion{pd.key, pd.depth, pd.box, pd.count};
+        leaf_begin[static_cast<std::size_t>(pd.first_piece)] = pd.begin;
       } else {
-        writeSlot(pd, -(n_pieces + 1 + static_cast<int>(active.size())));
         active.push_back(pd);
       }
     }
     if (active.empty()) break;
 
-    // The split target per active region: the smallest s with
-    // #(u < s) >= cut+1 is (cut-th order statistic) + 1 in mapped space.
-    // cntBelow(0) = 0 and cntBelow(2^64-1) = count for non-NaN
-    // coordinates, so the initial bracket invariant holds.
+    // Each region's plane is the cut-th order statistic in mapDouble
+    // space — the mapped order refines double order, so the plane is
+    // double-equal to the sort path's nth_element result. Re-partitioning
+    // by pieceOf()'s rule (strictly-less goes left) yields the exact left
+    // count. Regions own disjoint record ranges, so they run as
+    // independent tasks.
     struct Split {
-      std::size_t dim{0}, cut{0}, t{0};
-      std::uint64_t lo{0}, hi{~std::uint64_t{0}};
-      bool resolved{false};
+      std::size_t dim{0}, left{0};
       double plane{0.0};
     };
     std::vector<Split> splits(active.size());
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const Pending& pd = active[a];
-      Split& s = splits[a];
+    par.run(static_cast<int>(active.size()), [&](int a) {
+      const Pending& pd = active[static_cast<std::size_t>(a)];
+      Split& s = splits[static_cast<std::size_t>(a)];
       s.dim = splitDimension(pd.box, pd.depth);
-      s.cut = pd.count * static_cast<std::size_t>(pd.np / 2) /
-              static_cast<std::size_t>(pd.np);
       if (pd.count == 0) {
-        // Matches the sort path's empty-region plane.
-        s.resolved = true;
-        s.plane = pd.box.greater_corner[s.dim];
-      } else {
-        s.t = s.cut + 1;
+        s.plane = pd.box.greater_corner[s.dim];  // the sort path's choice
+        return;
       }
-    }
-
-    std::vector<std::size_t> unres, off;
-    std::vector<std::uint64_t> pv;
-    std::vector<int> uidx(splits.size());
-    for (;;) {
-      unres.clear();
-      off.clear();
-      pv.clear();
-      std::fill(uidx.begin(), uidx.end(), -1);
-      for (std::size_t a = 0; a < splits.size(); ++a) {
-        Split& s = splits[a];
-        if (s.resolved) continue;
-        if (s.hi - s.lo <= 1) {
-          s.resolved = true;
-          s.plane = unmapDouble(s.hi - 1);
-          continue;
-        }
-        uidx[a] = static_cast<int>(unres.size());
-        unres.push_back(a);
-        off.push_back(pv.size());
-        appendProbes(s.lo, s.hi, probes, pv);
-      }
-      if (unres.empty()) break;
-      off.push_back(pv.size());
-
-      // Chunk-local histograms, one slot range per unresolved split
-      // (its probe count + 1), binned by upper_bound index of the
-      // particle's mapped coordinate among that split's probes.
-      par.run(chunks, [&](int c) {
-        auto& h = hist[static_cast<std::size_t>(c)];
-        h.assign(pv.size() + unres.size(), 0);
-        const auto cr = decomp::chunkOf(n, chunks, c);
-        for (std::size_t i = cr.begin; i < cr.end; ++i) {
-          const int code = resolveCode(particles[i]);
-          if (code >= -n_pieces) continue;  // settled leaf
-          const auto a =
-              static_cast<std::size_t>(-code - n_pieces - 1);
-          const int u = uidx[a];
-          if (u < 0) continue;  // region's plane already resolved
-          const std::uint64_t uv =
-              mapDouble(particles[i].position[splits[a].dim]);
-          const auto pb = pv.begin() + static_cast<std::ptrdiff_t>(
-                                           off[static_cast<std::size_t>(u)]);
-          const auto pe =
-              pv.begin() + static_cast<std::ptrdiff_t>(
-                               off[static_cast<std::size_t>(u) + 1]);
-          const auto j =
-              static_cast<std::size_t>(std::upper_bound(pb, pe, uv) - pb);
-          ++h[off[static_cast<std::size_t>(u)] +
-              static_cast<std::size_t>(u) + j];
-        }
-      });
-
-      // Inclusive prefix over each split's slots gives #(u < probe);
-      // narrow the bracket at the first probe meeting the target.
-      for (std::size_t u = 0; u < unres.size(); ++u) {
-        Split& s = splits[unres[u]];
-        const std::size_t m = off[u + 1] - off[u];
-        std::size_t cum = 0;
-        for (std::size_t j = 0; j < m; ++j) {
-          for (int c = 0; c < chunks; ++c) {
-            cum += hist[static_cast<std::size_t>(c)][off[u] + u + j];
-          }
-          const std::uint64_t v = pv[off[u] + j];
-          if (cum < s.t) s.lo = v;
-          else { s.hi = v; break; }
-        }
-      }
-    }
-
-    // One pass with pieceOf()'s double comparison gives exact left
-    // counts (the mapped order is a refinement, so +/-0.0 could differ).
-    par.run(chunks, [&](int c) {
-      auto& h = hist[static_cast<std::size_t>(c)];
-      h.assign(active.size(), 0);
-      const auto cr = decomp::chunkOf(n, chunks, c);
-      for (std::size_t i = cr.begin; i < cr.end; ++i) {
-        const int code = resolveCode(particles[i]);
-        if (code >= -n_pieces) continue;
-        const auto a = static_cast<std::size_t>(-code - n_pieces - 1);
-        if (particles[i].position[splits[a].dim] < splits[a].plane) ++h[a];
-      }
+      const std::size_t dim = s.dim;
+      const auto first = recs.begin() + static_cast<std::ptrdiff_t>(pd.begin);
+      const auto last = first + static_cast<std::ptrdiff_t>(pd.count);
+      const std::size_t cut = pd.count * static_cast<std::size_t>(pd.np / 2) /
+                              static_cast<std::size_t>(pd.np);
+      const auto nth = first + static_cast<std::ptrdiff_t>(cut);
+      std::nth_element(first, nth, last,
+                       [dim](const Record& l, const Record& r) {
+                         return mapDouble(l.x[dim]) < mapDouble(r.x[dim]);
+                       });
+      const double plane = nth->x[dim];
+      s.plane = plane;
+      s.left = static_cast<std::size_t>(
+          std::partition(first, last,
+                         [dim, plane](const Record& r) {
+                           return r.x[dim] < plane;
+                         }) -
+          first);
     });
 
     std::vector<Pending> next;
@@ -618,10 +539,6 @@ int BinarySplitDecomposition::findSplittersHistogram(
     for (std::size_t a = 0; a < active.size(); ++a) {
       const Pending& pd = active[a];
       const Split& s = splits[a];
-      std::size_t m = 0;
-      for (int c = 0; c < chunks; ++c) {
-        m += hist[static_cast<std::size_t>(c)][a];
-      }
       OrientedBox left_box = pd.box, right_box = pd.box;
       left_box.greater_corner[s.dim] = s.plane;
       right_box.lesser_corner[s.dim] = s.plane;
@@ -629,19 +546,22 @@ int BinarySplitDecomposition::findSplittersHistogram(
       nodes_.push_back({s.dim, s.plane, -1, -1});
       writeSlot(pd, self);
       const int left_pieces = pd.np / 2;
-      next.push_back({keys::child(pd.key, 0, 1), pd.depth + 1, left_box, m,
-                      left_pieces, pd.first_piece, self, true});
+      next.push_back({keys::child(pd.key, 0, 1), pd.depth + 1, left_box,
+                      pd.begin, s.left, left_pieces, pd.first_piece, self,
+                      true});
       next.push_back({keys::child(pd.key, 1, 1), pd.depth + 1, right_box,
-                      pd.count - m, pd.np - left_pieces,
-                      pd.first_piece + left_pieces, self, false});
+                      pd.begin + s.left, pd.count - s.left,
+                      pd.np - left_pieces, pd.first_piece + left_pieces, self,
+                      false});
     }
     pending = std::move(next);
   }
 
-  par.run(chunks, [&](int c) {
-    const auto cr = decomp::chunkOf(n, chunks, c);
-    for (std::size_t i = cr.begin; i < cr.end; ++i) {
-      assign(particles[i], target, -resolveCode(particles[i]) - 1);
+  par.run(n_pieces, [&](int piece) {
+    const auto pc = static_cast<std::size_t>(piece);
+    const std::size_t begin = leaf_begin[pc];
+    for (std::size_t r = begin; r < begin + regions_[pc].count; ++r) {
+      assign(particles[recs[r].index], target, piece);
     }
   });
   return n_pieces;

@@ -31,9 +31,11 @@ bool fromString(const std::string& s, DecompType& out);
 enum class DecompImpl {
   kSort,       ///< full std::sort per decomposition target — the serial
                ///< reference path, kept for A/B validation
-  kHistogram,  ///< iterative parallel histogramming over candidate
-               ///< splitters (the paper's ChaNGa-inherited scheme); piece
-               ///< assignments are identical to the sort path's
+  kHistogram,  ///< parallel path: iterative histogramming over candidate
+               ///< splitters for key-based types (the paper's
+               ///< ChaNGa-inherited scheme), exact per-region plane
+               ///< selection for binary splits; piece assignments are
+               ///< identical to the sort path's
 };
 
 std::string toString(DecompImpl i);
@@ -136,15 +138,15 @@ class Decomposition {
                             Target target) = 0;
 
   /// Compute the same splitters as findSplitters() — piece assignments
-  /// are bit-identical — by iterative histogramming over candidate
-  /// splitters instead of a global sort. Gather/sort/assignment passes
-  /// fan out through `par` in chunks; `particles` is never reordered.
-  /// `probes` is the number of candidate splitter values probed per
-  /// unresolved splitter per refinement round (>= 1; more probes means
-  /// fewer refinement rounds). Key-based decompositions (eSfc, eOct)
-  /// count over a SortedKeyScratch; pass a prebuilt `scratch` to share
-  /// it across calls on the same keyed particle set (built internally
-  /// when null; ignored by coordinate-based decompositions).
+  /// are bit-identical — without a global sort of `particles`, which is
+  /// never reordered; work fans out through `par`. Key-based
+  /// decompositions (eSfc, eOct) histogram candidate splitters over a
+  /// SortedKeyScratch: `probes` is the number of candidate values probed
+  /// per unresolved splitter per refinement round (>= 1; more probes
+  /// means fewer rounds), and a prebuilt `scratch` can be shared across
+  /// calls on the same keyed particle set (built internally when null).
+  /// Binary splits (eKd, eLongest) select each plane exactly over a
+  /// compact coordinate copy and ignore both `probes` and `scratch`.
   virtual int findSplittersHistogram(
       std::span<Particle> particles, const OrientedBox& universe, int n_pieces,
       Target target, ParallelFor& par, int probes,
@@ -231,6 +233,12 @@ class OctDecomposition final : public Decomposition {
 /// coordinates along the split dimension, and particles partition by the
 /// pieceOf() rule (`coordinate < plane` goes left) — under ties at the
 /// plane both findSplitters() paths and pieceOf() agree.
+/// findSplittersHistogram() builds the same plane tree level by level:
+/// it gathers `{x, y, z, index}` records once, then per region selects
+/// the plane with nth_element (in an order that ranks -0.0 below +0.0,
+/// so the plane is fixed bit for bit) and partitions the region's record
+/// range, which gives the exact left count; the regions of a level run
+/// as independent tasks.
 class BinarySplitDecomposition : public Decomposition {
  public:
   enum class Mode { kCycleDims, kLongestDim };

@@ -14,8 +14,9 @@ namespace paratreet {
 /// step loop's workers instead of running on the orchestrator thread.
 ///
 /// Tasks must not touch state owned by other tasks of the same run()
-/// (the histogram passes write chunk-local buffers only). A rank crash
-/// during drain() surfaces as rts::QuiescenceTimeout exactly like the
+/// (the histogram passes write chunk-local buffers, the plane selections
+/// their own region's record range). A rank crash during drain()
+/// surfaces as rts::QuiescenceTimeout exactly like the
 /// build/traversal phases; queued closures on the crashed rank are
 /// purged before recovery re-runs the step, so the by-reference captures
 /// here never outlive the enclosing run() call.

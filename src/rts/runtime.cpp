@@ -108,40 +108,44 @@ void Runtime::configureFaults(const FaultConfig& fault) {
 }
 
 void Runtime::attachMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_.store(nullptr, std::memory_order_release);
-    return;
-  }
-  auto m = std::make_unique<SchedulerMetrics>();
-  m->tasks = &registry->counter("rts.tasks_executed");
-  m->messages = &registry->counter("rts.messages");
-  m->message_bytes = &registry->counter("rts.message_bytes");
-  m->queue_depth = &registry->histogram(
-      "rts.queue_depth", obs::exponentialBounds(1.0, 2.0, 12));
-  // Resilience counters are registered unconditionally so fault-free
-  // reports still show them — pinned at zero.
-  m->retries = &registry->counter("rts.retries");
-  m->undeliverable = &registry->counter("rts.undeliverable");
-  m->dup_suppressed = &registry->counter("rts.dup_suppressed");
-  m->crashes = &registry->counter("rts.crashes");
-  m->heartbeat_missed = &registry->counter("rts.heartbeat.missed");
-  m->frames_corrupt = &registry->counter("rts.frames_corrupt");
-  for (std::size_t k = 0; k < kNumFaultKinds; ++k) {
-    m->faults_injected[k] = &registry->counter(
-        std::string("rts.faults_injected.") + kFaultKindNames[k]);
-  }
-  m->busy_ns.reserve(static_cast<std::size_t>(numWorkers()));
-  m->idle_ns.reserve(static_cast<std::size_t>(numWorkers()));
-  for (int p = 0; p < config_.n_procs; ++p) {
-    for (int w = 0; w < config_.workers_per_proc; ++w) {
-      const std::string id =
-          "rts.worker.p" + std::to_string(p) + ".w" + std::to_string(w);
-      m->busy_ns.push_back(&registry->counter(id + ".busy_ns"));
-      m->idle_ns.push_back(&registry->counter(id + ".idle_ns"));
+  std::unique_ptr<SchedulerMetrics> m;
+  if (registry != nullptr) {
+    m = std::make_unique<SchedulerMetrics>();
+    m->tasks = &registry->counter("rts.tasks_executed");
+    m->messages = &registry->counter("rts.messages");
+    m->message_bytes = &registry->counter("rts.message_bytes");
+    m->queue_depth = &registry->histogram(
+        "rts.queue_depth", obs::exponentialBounds(1.0, 2.0, 12));
+    // Resilience counters are registered unconditionally so fault-free
+    // reports still show them — pinned at zero.
+    m->retries = &registry->counter("rts.retries");
+    m->undeliverable = &registry->counter("rts.undeliverable");
+    m->dup_suppressed = &registry->counter("rts.dup_suppressed");
+    m->crashes = &registry->counter("rts.crashes");
+    m->heartbeat_missed = &registry->counter("rts.heartbeat.missed");
+    m->frames_corrupt = &registry->counter("rts.frames_corrupt");
+    for (std::size_t k = 0; k < kNumFaultKinds; ++k) {
+      m->faults_injected[k] = &registry->counter(
+          std::string("rts.faults_injected.") + kFaultKindNames[k]);
+    }
+    m->busy_ns.reserve(static_cast<std::size_t>(numWorkers()));
+    m->idle_ns.reserve(static_cast<std::size_t>(numWorkers()));
+    for (int p = 0; p < config_.n_procs; ++p) {
+      for (int w = 0; w < config_.workers_per_proc; ++w) {
+        const std::string id =
+            "rts.worker.p" + std::to_string(p) + ".w" + std::to_string(w);
+        m->busy_ns.push_back(&registry->counter(id + ".busy_ns"));
+        m->idle_ns.push_back(&registry->counter(id + ".idle_ns"));
+      }
     }
   }
+  metrics_.store(m.get(), std::memory_order_release);
+  // Idle workers re-load metrics_ under their queue lock after waking and
+  // record while still holding it, so passing through every queue mutex
+  // waits out any worker still recording into the previous registry.
+  // Afterwards that registry (and the old storage) is never touched again.
+  for (auto& q : queues_) std::lock_guard lock(q->mutex);
   metrics_storage_ = std::move(m);
-  metrics_.store(metrics_storage_.get(), std::memory_order_release);
 }
 
 void Runtime::attachTrace(obs::TraceBuffer* trace) {
@@ -640,15 +644,18 @@ void Runtime::workerLoop(int proc, int worker) {
       continue;
     }
     if (shutdown_.load(std::memory_order_acquire)) return;
-    auto* m = metrics_.load(std::memory_order_acquire);
-    const auto w0 = m != nullptr ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
+    const bool timed = metrics_.load(std::memory_order_acquire) != nullptr;
+    const auto w0 = timed ? std::chrono::steady_clock::now()
+                          : std::chrono::steady_clock::time_point{};
     if (!q.delayed.empty()) {
       q.cv.wait_until(lock, q.delayed.top().ready);
     } else {
       q.cv.wait(lock);
     }
-    if (m != nullptr) {
+    // Re-load after the wake, under the lock: the registry seen before
+    // the wait may have been detached (and destroyed) meanwhile.
+    if (auto* m = metrics_.load(std::memory_order_acquire);
+        timed && m != nullptr) {
       const auto idle = std::chrono::steady_clock::now() - w0;
       m->idle_ns[slot]->add(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(idle).count()));

@@ -201,9 +201,10 @@ class Runtime {
   /// instruments (task/message counters, per-worker busy/idle time,
   /// ready-queue depth histogram, retry/fault counters) and records into
   /// them until detached with attachMetrics(nullptr). Call only while
-  /// quiescent (no tasks running or queued); the hot-path cost when
-  /// attached is a relaxed atomic add per event, and a single atomic load
-  /// when detached.
+  /// quiescent (no tasks running or queued); idle workers are waited out,
+  /// so once it returns the previous registry is never touched again and
+  /// may be destroyed. The hot-path cost when attached is a relaxed atomic
+  /// add per event, and a single atomic load when detached.
   void attachMetrics(obs::MetricsRegistry* registry);
 
   /// Attach a trace buffer: fault, retransmit and watchdog events are

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -79,29 +80,25 @@ void expectSameRegions(const Decomposition& a, const Decomposition& b) {
   }
 }
 
-class DecompEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<DecompType, int, Input>> {};
-
-// The acceptance bar of the parallel pipeline: for every decomposition
-// type, worker count, and input shape, the histogram path must produce
-// the *identical* piece assignment as the full-sort reference path.
-TEST_P(DecompEquivalenceTest, HistogramMatchesSortPath) {
-  const auto [type, procs, input] = GetParam();
-  OrientedBox universe;
-  const auto base = makeTestParticles(makeInput(input), universe);
-
+/// Run the sort path and the histogram path (through `par`) on copies of
+/// `base`: the histogram path must give the identical piece assignment and
+/// regions, never reorder its input, and both decompositions' pieceOf()
+/// must agree with the assignment.
+void expectHistogramMatchesSort(const std::vector<Particle>& base,
+                                const OrientedBox& universe, DecompType type,
+                                int n_pieces, ParallelFor& par) {
+  SCOPED_TRACE(toString(type) + " pieces=" + std::to_string(n_pieces) +
+               " ways=" + std::to_string(par.ways()));
   auto sorted = base;
   auto sort_decomp = makeDecomposition(type);
   const int n_sort = sort_decomp->findSplitters(
-      std::span<Particle>(sorted), universe, 8,
+      std::span<Particle>(sorted), universe, n_pieces,
       Decomposition::Target::kPartition);
 
-  rts::Runtime rt({procs, 2});
-  RuntimeParallelFor par(rt, rt.liveProcs());
   auto hist = base;
   auto hist_decomp = makeDecomposition(type);
   const int n_hist = hist_decomp->findSplittersHistogram(
-      std::span<Particle>(hist), universe, 8,
+      std::span<Particle>(hist), universe, n_pieces,
       Decomposition::Target::kPartition, par, 15);
 
   ASSERT_EQ(n_sort, n_hist);
@@ -115,6 +112,21 @@ TEST_P(DecompEquivalenceTest, HistogramMatchesSortPath) {
     EXPECT_EQ(sort_decomp->pieceOf(hist[i]), hist[i].partition);
   }
   expectSameRegions(*sort_decomp, *hist_decomp);
+}
+
+class DecompEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<DecompType, int, Input>> {};
+
+// The acceptance bar of the parallel pipeline: for every decomposition
+// type, worker count, and input shape, the histogram path must produce
+// the *identical* piece assignment as the full-sort reference path.
+TEST_P(DecompEquivalenceTest, HistogramMatchesSortPath) {
+  const auto [type, procs, input] = GetParam();
+  OrientedBox universe;
+  const auto base = makeTestParticles(makeInput(input), universe);
+  rts::Runtime rt({procs, 2});
+  RuntimeParallelFor par(rt, rt.liveProcs());
+  expectHistogramMatchesSort(base, universe, type, 8, par);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -203,6 +215,90 @@ TEST(DecompParallel, DegenerateInputs) {
           << toString(type) << " n=" << n;
     }
   }
+}
+
+// Binary splits (eKd, eLongest) select every plane exactly. The shapes
+// below each run on the inline executor and on a 3x2 runtime.
+void forBinarySplitsAndExecutors(
+    const std::function<void(DecompType, ParallelFor&)>& check) {
+  SerialFor serial;
+  rts::Runtime rt({3, 2});
+  RuntimeParallelFor runtime_par(rt, rt.liveProcs());
+  for (auto type : {DecompType::eKd, DecompType::eLongest}) {
+    check(type, serial);
+    check(type, runtime_par);
+  }
+}
+
+TEST(DecompParallel, BinarySplitPieceCounts) {
+  for (const Input input : {Input::kPlummer, Input::kDuplicateKeys}) {
+    OrientedBox universe;
+    const auto base = makeTestParticles(makeInput(input), universe);
+    forBinarySplitsAndExecutors([&](DecompType type, ParallelFor& par) {
+      for (const int pieces : {2, 3, 13, 16}) {
+        SCOPED_TRACE(inputName(input));
+        expectHistogramMatchesSort(base, universe, type, pieces, par);
+      }
+    });
+  }
+}
+
+// -0.0 and +0.0 compare equal but order differently in mapped space; a
+// run of both straddles the root cut on x, the split axis of either type.
+TEST(DecompParallel, BinarySplitSignedZerosAtThePlane) {
+  auto ic = uniformCube(64, 35);
+  for (std::size_t i = 0; i < ic.size(); ++i) {
+    ic.positions[i].x = (static_cast<double>(i) - 32.0) * 0.1;
+    ic.positions[i].y *= 0.1;
+    ic.positions[i].z *= 0.1;
+    if (i >= 24 && i < 40) ic.positions[i].x = i % 2 == 0 ? -0.0 : 0.0;
+  }
+  OrientedBox universe;
+  const auto base = makeTestParticles(ic, universe);
+  forBinarySplitsAndExecutors([&](DecompType type, ParallelFor& par) {
+    for (const int pieces : {2, 3, 5, 8}) {
+      expectHistogramMatchesSort(base, universe, type, pieces, par);
+    }
+    auto ps = base;
+    auto d = makeDecomposition(type);
+    d->findSplittersHistogram(std::span<Particle>(ps), universe, 2,
+                              Decomposition::Target::kPartition, par, 15);
+    EXPECT_EQ(d->regions()[0].box.greater_corner.x, 0.0);  // plane is +-0
+  });
+}
+
+// Every particle shares x and the universe is longest along x, so every
+// plane on that axis is a tie and all particles fall to its right.
+TEST(DecompParallel, BinarySplitAllTiesOnTheSplitAxis) {
+  auto ic = uniformCube(400, 36);
+  for (auto& pos : ic.positions) pos.x = 0.5;
+  OrientedBox universe;
+  auto base = makeTestParticles(ic, universe);
+  universe.grow(Vec3(4.0, 0.0, 0.0));
+  assignKeys(base, universe);
+  forBinarySplitsAndExecutors([&](DecompType type, ParallelFor& par) {
+    for (const int pieces : {2, 3, 13}) {
+      expectHistogramMatchesSort(base, universe, type, pieces, par);
+    }
+    auto ps = base;
+    auto d = makeDecomposition(type);
+    d->findSplittersHistogram(std::span<Particle>(ps), universe, 2,
+                              Decomposition::Target::kPartition, par, 15);
+    EXPECT_EQ(d->regions()[0].count, 0u);
+    EXPECT_EQ(d->regions()[0].box.greater_corner.x, 0.5);
+  });
+}
+
+// More pieces than particles leaves some regions empty; their planes
+// come from the box, not from a selection.
+TEST(DecompParallel, BinarySplitMorePiecesThanParticles) {
+  OrientedBox universe;
+  const auto base = makeTestParticles(uniformCube(5, 37), universe);
+  forBinarySplitsAndExecutors([&](DecompType type, ParallelFor& par) {
+    for (const int pieces : {13, 16}) {
+      expectHistogramMatchesSort(base, universe, type, pieces, par);
+    }
+  });
 }
 
 TEST(DecompParallel, DecompImplStrings) {
