@@ -24,6 +24,7 @@
 #include "core/forest.hpp"
 #include "apps/gravity/centroid_data.hpp"
 #include "util/distributions.hpp"
+#include "util/timer.hpp"
 
 using namespace paratreet;
 
@@ -75,9 +76,9 @@ double runCase(DecompType type, DecompImpl impl, int procs,
   forest.load(base);
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
-    forest.resetPhaseTimes();
+    WallTimer timer;
     forest.decompose();
-    best = std::min(best, forest.phaseTimes().decompose);
+    best = std::min(best, timer.seconds());
   }
   assign_out = assignments(forest, base.size());
   return best;

@@ -252,23 +252,23 @@ E2eResult endToEndTraverse(std::size_t n, EvalKernel kernel, int iterations,
   forest.decompose();
   E2eResult best;
   best.traverse_s = std::numeric_limits<double>::infinity();
-  auto gauge = [&](const char* name) { return ob.metrics.gauge(name).value(); };
+  auto span_s = [&](const char* name) { return ob.trace.totalSeconds(name); };
   for (int it = 0; it < iterations; ++it) {
     forest.build();
-    forest.resetPhaseTimes();
-    const double rec0 = gauge("kernel.record_seconds");
-    const double ovl0 = gauge("kernel.overlap_seconds");
-    const double fin0 = gauge("kernel.finish_drain_seconds");
+    const double rec0 = span_s("kernel.record_phase");
+    const double ovl0 = span_s("kernel.drain_overlap");
+    const double fin0 = span_s("kernel.batch_eval");
     const std::uint64_t se0 = ob.metrics.counter("kernel.sealed_early").value();
     const std::uint64_t st0 = ob.metrics.counter("kernel.sealed_total").value();
+    WallTimer timer;
     forest.traverse<GravityVisitor>(GravityVisitor{params},
                                     TraversalStyle::kTransposed, kernel);
-    const double traverse_s = forest.phaseTimes().traverse;
+    const double traverse_s = timer.seconds();
     if (traverse_s < best.traverse_s) {
       best.traverse_s = traverse_s;
-      best.record_s = gauge("kernel.record_seconds") - rec0;
-      best.overlap_s = gauge("kernel.overlap_seconds") - ovl0;
-      best.finish_drain_s = gauge("kernel.finish_drain_seconds") - fin0;
+      best.record_s = span_s("kernel.record_phase") - rec0;
+      best.overlap_s = span_s("kernel.drain_overlap") - ovl0;
+      best.finish_drain_s = span_s("kernel.batch_eval") - fin0;
       best.sealed_early =
           ob.metrics.counter("kernel.sealed_early").value() - se0;
       best.sealed_total =

@@ -185,12 +185,16 @@ int main(int argc, char** argv) {
                 cli.transport.miss_threshold);
   }
   WallTimer timer;
+  // Phase times come from the span totals; a capacity-0 trace keeps only
+  // those totals, no events.
+  obs::TraceBuffer phases(0);
   // A cold Plummer sphere (zero velocities): it contracts under its own
   // gravity, converting potential into kinetic energy. A resumed run
   // regenerates the same ICs — they seed the compatibility hash — but
   // physics continues from the restored checkpoint, not from them.
   try {
-    app.run(rt, makeParticles(plummer(n, ic_seed, 0.25)));
+    app.run(rt, makeParticles(plummer(n, ic_seed, 0.25)),
+            Instrumentation{nullptr, nullptr, &phases});
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gravity_sim: %s\n", e.what());
     return 1;
@@ -209,9 +213,10 @@ int main(int argc, char** argv) {
     std::printf("resume requested but no generation on disk — started fresh\n");
   }
 
-  const auto& t = app.forest().phaseTimes();
   std::printf("total %.3fs  (decompose %.3fs, build %.3fs, traverse %.3fs)\n",
-              elapsed, t.decompose, t.build, t.traverse);
+              elapsed, phases.totalSeconds("decompose"),
+              phases.totalSeconds("build"),
+              phases.totalSeconds("traverse.top_down"));
   const auto stats = app.forest().cacheStatsTotal();
   std::printf("last-iteration cache: %llu fetches, %llu nodes inserted\n",
               static_cast<unsigned long long>(stats.requests_sent),

@@ -46,9 +46,10 @@ constexpr bool recordsNodeInteractions() {
   }
 }
 
-/// Estimated floating-point ops per particle-particle interaction, used
-/// for the flop-estimate gauge in the observability report. Visitors can
-/// override with `static constexpr double kFlopsPerPairInteraction`.
+/// Estimated floating-point ops per particle-particle interaction, which
+/// benchmarks multiply into the traversal.interactions.pp counter for a
+/// flop estimate. Visitors can override with
+/// `static constexpr double kFlopsPerPairInteraction`.
 template <typename V>
 constexpr double flopsPerPairInteraction() {
   if constexpr (requires { V::kFlopsPerPairInteraction; }) {

@@ -16,7 +16,6 @@
 #include "observability/instrumentation.hpp"
 #include "rts/checkpoint.hpp"
 #include "util/snapshot.hpp"
-#include "util/timer.hpp"
 
 namespace paratreet {
 
@@ -123,25 +122,19 @@ class Driver {
     const bool ckpt_on = conf.checkpoint_every > 0;
     rts::CheckpointStore store;
     if (ckpt_on) store.init(&rt, instr.metrics);
-    obs::Gauge* ckpt_seconds = nullptr;
-    obs::Gauge* recovery_seconds = nullptr;
     obs::Counter* rec_restart = nullptr;
     obs::Counter* rec_shrink = nullptr;
     obs::Counter* rec_escalated = nullptr;
     obs::Counter* disk_bytes = nullptr;
-    obs::Gauge* disk_seconds = nullptr;
     obs::Counter* cold_restarts = nullptr;
     if (instr.metrics != nullptr) {
       // Registered up front so fault-free reports still show the
-      // checkpoint/recovery instruments, pinned at zero.
+      // checkpoint/recovery counters, pinned at zero.
       instr.metrics->counter("checkpoint.bytes");
-      ckpt_seconds = &instr.metrics->gauge("checkpoint.seconds");
-      recovery_seconds = &instr.metrics->gauge("recovery.seconds");
       rec_restart = &instr.metrics->counter("rts.recoveries.restart");
       rec_shrink = &instr.metrics->counter("rts.recoveries.shrink");
       rec_escalated = &instr.metrics->counter("rts.recoveries.escalated");
       disk_bytes = &instr.metrics->counter("checkpoint.disk_bytes");
-      disk_seconds = &instr.metrics->gauge("checkpoint.disk_seconds");
       cold_restarts = &instr.metrics->counter("recovery.cold_restarts");
     }
 
@@ -194,8 +187,7 @@ class Driver {
       // re-persisting it would garbage-collect its older sibling.
       const int base = recovered.has_value() ? recovered->step : -1;
       checkpoint(store, conf, instr, base, /*from_subtrees=*/true,
-                 ckpt_seconds, recovered.has_value() ? nullptr : disk,
-                 disk_bytes, disk_seconds);
+                 recovered.has_value() ? nullptr : disk, disk_bytes);
     }
 
     // A scheduled crash/wedge fires exactly once, even though recovery
@@ -244,8 +236,8 @@ class Driver {
         // reproduces exactly what flush() would have seen.
         if (ckpt_on && (iter + 1) % conf.checkpoint_every == 0 &&
             iter + 1 < conf.num_iterations) {
-          checkpoint(store, conf, instr, iter, /*from_subtrees=*/false,
-                     ckpt_seconds, disk, disk_bytes, disk_seconds);
+          checkpoint(store, conf, instr, iter, /*from_subtrees=*/false, disk,
+                     disk_bytes);
         }
         if (iter + 1 < conf.num_iterations) forest_->flush();
         ++iter;
@@ -282,7 +274,6 @@ class Driver {
               " crashed again — giving up instead of looping");
         }
         ++recoveries_done;
-        WallTimer timer;
         obs::TraceSpan span(instr.trace, "recovery", "driver");
         bool restart = conf.recovery_mode == RecoveryMode::kRestart;
         if (restart) {
@@ -330,7 +321,6 @@ class Driver {
         }
         forest_->restoreFromChunks(store.assemble(step));
         iter = step + 1;
-        if (recovery_seconds != nullptr) recovery_seconds->add(timer.seconds());
       }
     }
   }
@@ -380,16 +370,13 @@ class Driver {
   /// along.
   void checkpoint(rts::CheckpointStore& store, const Configuration& conf,
                   const Instrumentation& instr, int step, bool from_subtrees,
-                  obs::Gauge* seconds, rts::DurableStore* disk,
-                  obs::Counter* disk_bytes, obs::Gauge* disk_seconds) {
+                  rts::DurableStore* disk, obs::Counter* disk_bytes) {
     obs::TraceSpan span(instr.trace, "checkpoint", "driver");
-    WallTimer timer;
     forest_->checkpointTo(store, step, from_subtrees);
     store.seal(step);
     if (disk != nullptr) {
       obs::TraceSpan persist_span(instr.trace, "checkpoint.persist",
                                   "driver");
-      WallTimer disk_timer;
       const auto chunks = store.assemble(step);
       const std::uint64_t bytes = disk->persist(
           step, chunks,
@@ -400,9 +387,7 @@ class Driver {
                              forest_->runtime().liveProcs());
       writeCheckpointSnapshot(chunks, conf.checkpoint_dir, step, &par);
       if (disk_bytes != nullptr) disk_bytes->add(bytes);
-      if (disk_seconds != nullptr) disk_seconds->add(disk_timer.seconds());
     }
-    if (seconds != nullptr) seconds->add(timer.seconds());
   }
 
   /// Legacy on-disk export: write an assembled generation as an ordinary

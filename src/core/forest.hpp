@@ -28,7 +28,6 @@
 #include "tree/tree_types.hpp"
 #include "tree/validate.hpp"
 #include "util/distributions.hpp"
-#include "util/timer.hpp"
 
 namespace paratreet {
 
@@ -44,22 +43,6 @@ inline std::vector<Particle> makeParticles(const InitialConditions& ic) {
   }
   return ps;
 }
-
-/// Wall-clock spent in each phase of an iteration.
-struct PhaseTimes {
-  double decompose = 0.0;
-  double build = 0.0;        ///< tree build + cache setup + leaf sharing
-  double leaf_share = 0.0;   ///< subset of build: the leaf-sharing step
-  double traverse = 0.0;
-
-  PhaseTimes& operator+=(const PhaseTimes& o) {
-    decompose += o.decompose;
-    build += o.build;
-    leaf_share += o.leaf_share;
-    traverse += o.traverse;
-    return *this;
-  }
-};
 
 /// The distributed forest: Subtrees + Partitions + per-process caches,
 /// bound to a Runtime. This is the engine under the user-facing Driver.
@@ -92,8 +75,6 @@ class Forest {
   CacheManager<Data>& cache(int proc) {
     return caches_[static_cast<std::size_t>(proc)];
   }
-  const PhaseTimes& phaseTimes() const { return times_; }
-  void resetPhaseTimes() { times_ = {}; }
 
   /// Buckets that had to be split across Partitions in the last build
   /// (the Fig 5 case).
@@ -116,7 +97,6 @@ class Forest {
   /// serial full-sort reference path kept for A/B validation, and both
   /// produce identical piece assignments.
   void decompose() {
-    WallTimer timer;
     obs::TraceSpan span(instr_.trace, "decompose", "phase");
     // Chares are placed over the *live* ranks only: on a fault-free run
     // this is every rank (placeOf degenerates to the plain block map),
@@ -130,42 +110,45 @@ class Forest {
     const int chunks = std::max(1, worker_par.ways());
     const std::size_t n = particles_.size();
 
-    universe_ = OrientedBox{};
-    if (parallel) {
-      // Chunked box reduction: partial boxes merge after quiescence
-      // (grow() skips empty partials from empty chunks).
-      std::vector<OrientedBox> partial(static_cast<std::size_t>(chunks));
-      worker_par.run(chunks, [&](int c) {
-        const auto r = decomp::chunkOf(n, chunks, c);
-        auto& box = partial[static_cast<std::size_t>(c)];
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          box.grow(particles_[i].position);
-        }
-      });
-      for (const auto& box : partial) universe_.grow(box);
-    } else {
-      for (const auto& p : particles_) universe_.grow(p.position);
-    }
-    // Pad so particles on the boundary stay strictly inside (keys clamp).
-    const Vec3 pad = universe_.size() * 1e-9 + Vec3(1e-12);
-    universe_.grow(universe_.greater_corner + pad);
-    universe_.grow(universe_.lesser_corner - pad);
-    if (parallel) {
-      worker_par.run(chunks, [&](int c) {
-        const auto r = decomp::chunkOf(n, chunks, c);
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          particles_[i].key = keys::mortonKey(particles_[i].position, universe_);
-        }
-      });
-    } else {
-      assignKeys(particles_, universe_);
+    {
+      obs::TraceSpan keys_span(instr_.trace, "decompose.keys", "phase");
+      universe_ = OrientedBox{};
+      if (parallel) {
+        // Chunked box reduction: partial boxes merge after quiescence
+        // (grow() skips empty partials from empty chunks).
+        std::vector<OrientedBox> partial(static_cast<std::size_t>(chunks));
+        worker_par.run(chunks, [&](int c) {
+          const auto r = decomp::chunkOf(n, chunks, c);
+          auto& box = partial[static_cast<std::size_t>(c)];
+          for (std::size_t i = r.begin; i < r.end; ++i) {
+            box.grow(particles_[i].position);
+          }
+        });
+        for (const auto& box : partial) universe_.grow(box);
+      } else {
+        for (const auto& p : particles_) universe_.grow(p.position);
+      }
+      // Pad so particles on the boundary stay strictly inside (keys clamp).
+      const Vec3 pad = universe_.size() * 1e-9 + Vec3(1e-12);
+      universe_.grow(universe_.greater_corner + pad);
+      universe_.grow(universe_.lesser_corner - pad);
+      if (parallel) {
+        worker_par.run(chunks, [&](int c) {
+          const auto r = decomp::chunkOf(n, chunks, c);
+          for (std::size_t i = r.begin; i < r.end; ++i) {
+            particles_[i].key =
+                keys::mortonKey(particles_[i].position, universe_);
+          }
+        });
+      } else {
+        assignKeys(particles_, universe_);
+      }
     }
 
     partition_decomp_ = makeDecomposition(conf_.decomp_type);
     subtree_decomp_ = makeDecomposition(conf_.subtreeDecomp());
     int n_parts, n_subtrees;
     {
-      WallTimer splitter_timer;
       obs::TraceSpan splitter_span(instr_.trace, "decompose.splitters",
                                    "phase");
       if (parallel) {
@@ -181,7 +164,6 @@ class Forest {
             std::span<Particle>(particles_), universe_, conf_.min_subtrees,
             Decomposition::Target::kSubtree, worker_par,
             conf_.splitter_probes, &scratch);
-        emitGauge("decompose.histogram_seconds", splitter_timer.seconds());
       } else {
         n_parts = partition_decomp_->findSplitters(
             std::span<Particle>(particles_), universe_, conf_.min_partitions,
@@ -230,7 +212,6 @@ class Forest {
       subtrees_.push_back(std::move(st));
     }
     {
-      WallTimer scatter_timer;
       obs::TraceSpan scatter_span(instr_.trace, "decompose.scatter", "phase");
       if (parallel) {
         scatterParallel(worker_par, chunks, n_subtrees);
@@ -240,18 +221,13 @@ class Forest {
               p);
         }
       }
-      emitGauge("decompose.scatter_seconds", scatter_timer.seconds());
     }
-    const double seconds = timer.seconds();
-    times_.decompose += seconds;
-    emitPhase("decompose", seconds);
   }
 
   /// Tree build + cache setup + leaf sharing, all on the workers.
   /// Idempotent per decomposition: re-building clears the previous
   /// build's buckets and caches first.
   void build() {
-    WallTimer timer;
     obs::TraceSpan span(instr_.trace, "build", "phase");
     split_buckets_ = 0;
     // New build epoch: bucket identities (and hence the persistent target
@@ -279,58 +255,67 @@ class Forest {
 
     // 1. Each Subtree builds its local tree and registers its root in the
     //    process-level hash table (locked inserts, build phase only).
-    for (auto& stp : subtrees_) {
-      Subtree<Data>* st = stp.get();
-      rt_.enqueue(st->home_proc, [this, st] {
-        rts::ActivityScope scope(instr_.profiler, rts::Activity::kTreeBuild);
-        st->build(tree_type_, conf_.bucket_size);
-        caches_[static_cast<std::size_t>(st->home_proc)].insertLocalRoot(
-            st->root->key, st->root);
-      });
-    }
-    rt_.drain();
-
-    // 2. Broadcast root records; every process assembles the upper tree.
-    std::vector<RootRecord<Data>> records;
-    records.reserve(subtrees_.size());
-    for (const auto& st : subtrees_) records.push_back(st->rootRecord());
-    const std::size_t bytes = records.size() * sizeof(RootRecord<Data>);
-    for (int p = 0; p < rt_.numProcs(); ++p) {
-      if (!rt_.rankAlive(p)) continue;
-      rt_.send(0, p, p == 0 ? 0 : bytes, [this, p, records] {
-        rts::ActivityScope scope(instr_.profiler, rts::Activity::kTreeBuild);
-        caches_[static_cast<std::size_t>(p)].buildUpperTree(records, universe_);
-      });
-    }
-    rt_.drain();
-
-    // 2b. Proactive branch sharing (Configuration::share_levels): each
-    //     Subtree broadcasts its top levels so traversals start with them
-    //     cached, trading build-time bytes for traversal-time fetches.
-    if (conf_.share_levels > 0) {
-      const int levels = conf_.share_levels;
+    {
+      obs::TraceSpan local_span(instr_.trace, "build.local", "phase");
       for (auto& stp : subtrees_) {
         Subtree<Data>* st = stp.get();
-        rt_.enqueue(st->home_proc, [this, st, levels] {
+        rt_.enqueue(st->home_proc, [this, st] {
           rts::ActivityScope scope(instr_.profiler, rts::Activity::kTreeBuild);
-          auto block = std::make_shared<ResponseBlock<Data>>(
-              serializeRegion(st->root, levels));
-          for (int p = 0; p < rt_.numProcs(); ++p) {
-            if (p == st->home_proc || !rt_.rankAlive(p)) continue;
-            rt_.send(st->home_proc, p, block->byteSize(), [this, p, block] {
-              rts::ActivityScope insert_scope(instr_.profiler,
-                                              rts::Activity::kTreeBuild);
-              caches_[static_cast<std::size_t>(p)].preload(*block);
-            });
-          }
+          st->build(tree_type_, conf_.bucket_size);
+          caches_[static_cast<std::size_t>(st->home_proc)].insertLocalRoot(
+              st->root->key, st->root);
         });
       }
       rt_.drain();
     }
 
+    // 2. Broadcast root records; every process assembles the upper tree.
+    //    The build.upper_tree span also covers 2b's branch sharing.
+    {
+      obs::TraceSpan upper_span(instr_.trace, "build.upper_tree", "phase");
+      std::vector<RootRecord<Data>> records;
+      records.reserve(subtrees_.size());
+      for (const auto& st : subtrees_) records.push_back(st->rootRecord());
+      const std::size_t bytes = records.size() * sizeof(RootRecord<Data>);
+      for (int p = 0; p < rt_.numProcs(); ++p) {
+        if (!rt_.rankAlive(p)) continue;
+        rt_.send(0, p, p == 0 ? 0 : bytes, [this, p, records] {
+          rts::ActivityScope scope(instr_.profiler, rts::Activity::kTreeBuild);
+          caches_[static_cast<std::size_t>(p)].buildUpperTree(records,
+                                                              universe_);
+        });
+      }
+      rt_.drain();
+
+      // 2b. Proactive branch sharing (Configuration::share_levels): each
+      //     Subtree broadcasts its top levels so traversals start with them
+      //     cached, trading build-time bytes for traversal-time fetches.
+      if (conf_.share_levels > 0) {
+        const int levels = conf_.share_levels;
+        for (auto& stp : subtrees_) {
+          Subtree<Data>* st = stp.get();
+          rt_.enqueue(st->home_proc, [this, st, levels] {
+            rts::ActivityScope scope(instr_.profiler,
+                                     rts::Activity::kTreeBuild);
+            auto block = std::make_shared<ResponseBlock<Data>>(
+                serializeRegion(st->root, levels));
+            for (int p = 0; p < rt_.numProcs(); ++p) {
+              if (p == st->home_proc || !rt_.rankAlive(p)) continue;
+              rt_.send(st->home_proc, p, block->byteSize(), [this, p, block] {
+                rts::ActivityScope insert_scope(instr_.profiler,
+                                                rts::Activity::kTreeBuild);
+                caches_[static_cast<std::size_t>(p)].preload(*block);
+              });
+            }
+          });
+        }
+        rt_.drain();
+      }
+    }
+
     // 3. Leaf sharing: Subtrees hand their buckets to Partitions,
     //    splitting only the buckets whose particles span Partitions.
-    WallTimer share_timer;
+    obs::TraceSpan share_span(instr_.trace, "build.leaf_share", "phase");
     for (auto& stp : subtrees_) {
       Subtree<Data>* st = stp.get();
       rt_.enqueue(st->home_proc, [this, st] {
@@ -339,12 +324,6 @@ class Forest {
       });
     }
     rt_.drain();
-    const double share_seconds = share_timer.seconds();
-    times_.leaf_share += share_seconds;
-    const double seconds = timer.seconds();
-    times_.build += seconds;
-    emitPhase("build", seconds);
-    emitPhase("leaf_share", share_seconds);
   }
 
   /// Run a top-down traversal with visitor `V` over every Partition and
@@ -357,7 +336,6 @@ class Forest {
   void traverse(V visitor = {},
                 TraversalStyle style = TraversalStyle::kTransposed,
                 EvalKernel kernel = EvalKernel::kVisitor) {
-    WallTimer timer;
     obs::TraceSpan span(instr_.trace, "traverse.top_down", "traversal");
     // Traversers live in a member, not a local: if the drain watchdog
     // throws (rank crash), stale resume closures still queued on live
@@ -376,11 +354,6 @@ class Forest {
     rt_.drain();
     finishTraversers(active_traversers_);
     active_traversers_.clear();
-    {
-      const double seconds = timer.seconds();
-      times_.traverse += seconds;
-      emitPhase("traverse", seconds);
-    }
   }
 
   /// Run an up-and-down traversal (k-nearest-neighbour style). The
@@ -390,7 +363,6 @@ class Forest {
   template <typename V>
   void traverseUpAndDown(V visitor = {},
                          EvalKernel kernel = EvalKernel::kVisitor) {
-    WallTimer timer;
     obs::TraceSpan span(instr_.trace, "traverse.up_and_down", "traversal");
     active_traversers_.clear();
     active_traversers_.reserve(partitions_.size());
@@ -406,18 +378,12 @@ class Forest {
     rt_.drain();
     finishTraversers(active_traversers_);
     active_traversers_.clear();
-    {
-      const double seconds = timer.seconds();
-      times_.traverse += seconds;
-      emitPhase("traverse", seconds);
-    }
   }
 
   /// Run a dual-tree traversal with visitor `V` (cell()-driven) over
   /// every Partition and wait for completion.
   template <typename V>
   void traverseDualTree(V visitor = {}) {
-    WallTimer timer;
     obs::TraceSpan span(instr_.trace, "traverse.dual_tree", "traversal");
     active_traversers_.clear();
     active_traversers_.reserve(partitions_.size());
@@ -432,11 +398,6 @@ class Forest {
     }
     rt_.drain();
     active_traversers_.clear();
-    {
-      const double seconds = timer.seconds();
-      times_.traverse += seconds;
-      emitPhase("traverse", seconds);
-    }
   }
 
   /// Run a best-first (priority-driven) traversal with visitor `V` over
@@ -444,7 +405,6 @@ class Forest {
   /// describes for e.g. ray tracing.
   template <typename V>
   void traversePriority(V visitor = {}) {
-    WallTimer timer;
     obs::TraceSpan span(instr_.trace, "traverse.priority", "traversal");
     active_traversers_.clear();
     active_traversers_.reserve(partitions_.size());
@@ -459,11 +419,6 @@ class Forest {
     }
     rt_.drain();
     active_traversers_.clear();
-    {
-      const double seconds = timer.seconds();
-      times_.traverse += seconds;
-      emitPhase("traverse", seconds);
-    }
   }
 
   /// Measured traversal load of every Partition (seconds, last
@@ -768,21 +723,6 @@ class Forest {
     });
   }
 
-  /// Accumulate one phase duration into the registry gauge
-  /// "phase.<name>_seconds". Once-per-phase, so the registry lookup
-  /// (mutexed) is off the hot path; no-op without a registry.
-  void emitPhase(const char* name, double seconds) {
-    if (instr_.metrics == nullptr) return;
-    instr_.metrics->gauge(std::string("phase.") + name + "_seconds")
-        .add(seconds);
-  }
-
-  /// Like emitPhase but with the verbatim gauge name.
-  void emitGauge(const char* name, double seconds) {
-    if (instr_.metrics == nullptr) return;
-    instr_.metrics->gauge(name).add(seconds);
-  }
-
   /// Block placement of chare `i` of `n` onto the live processes (all of
   /// them on a fault-free run — then this is i * procs / n exactly).
   int placeOf(int i, int n) const {
@@ -844,7 +784,6 @@ class Forest {
   std::vector<std::unique_ptr<Subtree<Data>>> subtrees_;
   std::deque<CacheManager<Data>> caches_;
 
-  PhaseTimes times_{};
   std::atomic<std::size_t> split_buckets_{0};
   /// Monotone tree-build counter; stamped onto every Partition so the
   /// persistent per-bucket target gathers know when buckets changed.

@@ -113,17 +113,20 @@ class InteractionRecorder {
   bool batched() const { return kernel_ == EvalKernel::kBatched; }
 
   /// Accumulates enclosing-scope wall time into the record phase (the
-  /// walk side of the record/drain breakdown). No-op for kVisitor.
+  /// walk side of the record/drain breakdown, published as the
+  /// kernel.record_phase span). No-op for kVisitor or without a trace.
   class RecordScope {
    public:
-    explicit RecordScope(InteractionRecorder& r) : r_(r) {}
+    explicit RecordScope(InteractionRecorder& r) : r_(r) {
+      if (r_.batched() && r_.instr_.trace != nullptr) timer_.emplace();
+    }
     ~RecordScope() {
-      if (r_.batched()) r_.record_seconds_ += timer_.seconds();
+      if (timer_) r_.record_seconds_ += timer_->seconds();
     }
 
    private:
     InteractionRecorder& r_;
-    WallTimer timer_;
+    std::optional<WallTimer> timer_;
   };
 
   /// Reset the per-traversal state; call once the buckets are known (seed
@@ -143,7 +146,7 @@ class InteractionRecorder {
     sealed_ready_.clear();
     drain_scheduled_ = false;
     sealed_early_ = 0;
-    record_seconds_ = overlap_seconds_ = finish_drain_seconds_ = 0.0;
+    record_seconds_ = 0.0;
     evaluator_.emplace(visitor_, partition_.batch_scratch,
                        partition_.interaction_arena);
   }
@@ -209,17 +212,16 @@ class InteractionRecorder {
 
   /// The post-quiescence phase: drain whatever did not seal early (all
   /// buckets under BatchDrain::kBarrier), then publish the kernel-phase
-  /// gauges and interaction counters. Caller holds the run_mutex.
+  /// spans and the seal and interaction counters. Caller holds the
+  /// run_mutex.
   void finish() {
     if (batched() && !partition_.interaction_lists.empty()) {
       rts::ActivityScope scope(instr_.profiler, rts::Activity::kLocalTraversal);
       LoadScope<Data> load(partition_);
       obs::TraceSpan span(instr_.trace, "kernel.batch_eval", "kernel");
-      WallTimer timer;
       for (std::uint32_t b = 0; b < drained_.size(); ++b) {
         if (drained_[b] == 0) drainBucket(b);
       }
-      finish_drain_seconds_ += timer.seconds();
       emitKernelPhases(evaluator_->totals());
     }
     flushCounters();
@@ -257,7 +259,6 @@ class InteractionRecorder {
     rts::ActivityScope scope(instr_.profiler, rts::Activity::kLocalTraversal);
     LoadScope<Data> load(partition_);
     obs::TraceSpan span(instr_.trace, "kernel.drain_overlap", "kernel");
-    WallTimer timer;
     while (!sealed_ready_.empty()) {
       const std::uint32_t b = sealed_ready_.back();
       sealed_ready_.pop_back();
@@ -265,7 +266,6 @@ class InteractionRecorder {
       ++sealed_early_;
     }
     drain_scheduled_ = false;
-    overlap_seconds_ += timer.seconds();
   }
 
   void drainBucket(std::uint32_t b) {
@@ -279,13 +279,6 @@ class InteractionRecorder {
   void emitKernelPhases(
       const typename BatchEvaluator<Data, Visitor>::Totals& totals) {
     if (instr_.metrics != nullptr) {
-      instr_.metrics->gauge("kernel.node_seconds").add(totals.node_seconds);
-      instr_.metrics->gauge("kernel.leaf_seconds").add(totals.leaf_seconds);
-      instr_.metrics->gauge("kernel.replay_seconds").add(totals.replay_seconds);
-      instr_.metrics->gauge("kernel.record_seconds").add(record_seconds_);
-      instr_.metrics->gauge("kernel.overlap_seconds").add(overlap_seconds_);
-      instr_.metrics->gauge("kernel.finish_drain_seconds")
-          .add(finish_drain_seconds_);
       instr_.metrics->counter("kernel.sealed_early").add(sealed_early_);
       instr_.metrics->counter("kernel.sealed_total").add(drained_.size());
     }
@@ -295,12 +288,13 @@ class InteractionRecorder {
       const auto now = std::chrono::steady_clock::now();
       auto emit = [&](const char* name, double seconds) {
         if (seconds <= 0.0) return;
+        const auto ns = static_cast<std::int64_t>(seconds * 1e9);
         obs::TraceEvent ev;
         ev.name = name;
         ev.category = "kernel";
-        ev.duration_us = static_cast<std::int64_t>(seconds * 1e6);
+        ev.duration_us = ns / 1000;
         ev.start_us = instr_.trace->sinceOriginUs(now) - ev.duration_us;
-        instr_.trace->record(ev);
+        instr_.trace->record(ev, ns);
       };
       emit("kernel.node_phase", totals.node_seconds);
       emit("kernel.leaf_phase", totals.leaf_seconds);
@@ -316,9 +310,6 @@ class InteractionRecorder {
     }
     instr_.metrics->counter("traversal.interactions.pp").add(pp_count_);
     instr_.metrics->counter("traversal.interactions.pn").add(pn_count_);
-    instr_.metrics->gauge("traversal.flops_estimated")
-        .add(static_cast<double>(pp_count_) * flopsPerPairInteraction<Visitor>() +
-             static_cast<double>(pn_count_) * flopsPerNodeInteraction<Visitor>());
     pp_count_ = pn_count_ = 0;
   }
 
@@ -337,9 +328,7 @@ class InteractionRecorder {
   std::vector<std::uint32_t> sealed_ready_; ///< sealed, awaiting a drain task
   bool drain_scheduled_{false};
   std::uint64_t sealed_early_{0};
-  double record_seconds_{0.0};
-  double overlap_seconds_{0.0};
-  double finish_drain_seconds_{0.0};
+  double record_seconds_{0.0};  ///< RecordScope total (traced runs only)
   std::optional<BatchEvaluator<Data, Visitor>> evaluator_;
 };
 

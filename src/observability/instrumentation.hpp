@@ -11,9 +11,11 @@ namespace paratreet {
 /// member may be null — every emitter treats a null sink as "disabled",
 /// so a default-constructed Instrumentation is a zero-overhead no-op.
 ///
-/// This replaces the old `rts::ActivityProfiler*` raw-pointer parameter:
-/// one handle now carries activity profiling, the metrics registry, and
-/// structured tracing together, and the caller owns the sinks.
+/// One handle carries activity profiling, the metrics registry (counts:
+/// counters and histograms) and structured tracing, and the caller owns
+/// the sinks. Time is recorded only as trace spans: the TraceBuffer's
+/// exact per-name totals are the phase times, whether or not the ring
+/// kept every event.
 struct Instrumentation {
   rts::ActivityProfiler* profiler = nullptr;
   obs::MetricsRegistry* metrics = nullptr;

@@ -103,46 +103,6 @@ class Counter {
   std::array<detail::ShardCell, kMetricShards> shards_{};
 };
 
-/// Double-valued gauge: add()/sub() accumulate deltas lock-free across
-/// shards; set() overwrites the whole gauge (shard 0 carries the base,
-/// the others are zeroed) and is intended for idle-phase use.
-class Gauge {
- public:
-  explicit Gauge(std::string name) : name_(std::move(name)) {}
-
-  void add(double delta) {
-    detail::atomicAddDouble(shards_[detail::thisThreadShard()].value, delta);
-  }
-  void sub(double delta) { add(-delta); }
-
-  /// Overwrite the gauge. Not atomic with respect to concurrent add();
-  /// call between phases, not inside them.
-  void set(double v) {
-    shards_[0].value.store(detail::doubleToBits(v), std::memory_order_relaxed);
-    for (std::size_t i = 1; i < shards_.size(); ++i) {
-      shards_[i].value.store(detail::doubleToBits(0.0),
-                             std::memory_order_relaxed);
-    }
-  }
-
-  double value() const {
-    double total = 0.0;
-    for (const auto& s : shards_) {
-      total += detail::bitsToDouble(s.value.load(std::memory_order_relaxed));
-    }
-    return total;
-  }
-
-  void reset() { set(0.0); }
-
-  const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
-  // Zero-initialized bits are +0.0, so value-initialization is correct.
-  std::array<detail::ShardCell, kMetricShards> shards_{};
-};
-
 /// Aggregated view of a Histogram at scrape time.
 struct HistogramSnapshot {
   std::vector<double> bounds;           ///< upper bounds, one per finite bucket
@@ -260,11 +220,11 @@ inline std::vector<double> exponentialBounds(double first, double ratio,
 
 /// Process-wide registry of named instruments.
 ///
-/// Registration (counter()/gauge()/histogram()) takes a mutex and is
-/// meant for setup or first-touch paths; instruments are created once and
-/// never removed, so the returned references stay valid for the registry's
-/// lifetime and the *increment* path — Counter::add, Gauge::add,
-/// Histogram::observe — never touches a lock. Repeated registration of
+/// Registration (counter()/histogram()) takes a mutex and is meant for
+/// setup or first-touch paths; instruments are created once and never
+/// removed, so the returned references stay valid for the registry's
+/// lifetime and the *increment* path — Counter::add, Histogram::observe —
+/// never touches a lock. Repeated registration of
 /// the same name returns the same instrument.
 class MetricsRegistry {
  public:
@@ -275,15 +235,6 @@ class MetricsRegistry {
     }
     counters_.push_back(std::make_unique<Counter>(std::string(name)));
     return *counters_.back();
-  }
-
-  Gauge& gauge(std::string_view name) {
-    std::lock_guard lock(mutex_);
-    for (auto& g : gauges_) {
-      if (g->name() == name) return *g;
-    }
-    gauges_.push_back(std::make_unique<Gauge>(std::string(name)));
-    return *gauges_.back();
   }
 
   /// The bounds of an already-registered histogram win; a second caller's
@@ -305,11 +256,6 @@ class MetricsRegistry {
     for (const auto& c : counters_) fn(*c);
   }
   template <typename Fn>
-  void forEachGauge(Fn fn) const {
-    std::lock_guard lock(mutex_);
-    for (const auto& g : gauges_) fn(*g);
-  }
-  template <typename Fn>
   void forEachHistogram(Fn fn) const {
     std::lock_guard lock(mutex_);
     for (const auto& h : histograms_) fn(*h);
@@ -320,13 +266,6 @@ class MetricsRegistry {
     std::lock_guard lock(mutex_);
     for (const auto& c : counters_) {
       if (c->name() == name) return c.get();
-    }
-    return nullptr;
-  }
-  const Gauge* findGauge(std::string_view name) const {
-    std::lock_guard lock(mutex_);
-    for (const auto& g : gauges_) {
-      if (g->name() == name) return g.get();
     }
     return nullptr;
   }
@@ -343,14 +282,12 @@ class MetricsRegistry {
   void resetAll() {
     std::lock_guard lock(mutex_);
     for (auto& c : counters_) c->reset();
-    for (auto& g : gauges_) g->reset();
     for (auto& h : histograms_) h->reset();
   }
 
  private:
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Counter>> counters_;
-  std::vector<std::unique_ptr<Gauge>> gauges_;
   std::vector<std::unique_ptr<Histogram>> histograms_;
 };
 

@@ -72,7 +72,7 @@ std::string jsonEscape(const std::string& s) {
 
 std::string Reporter::toJson() const {
   std::ostringstream out;
-  out << "{\"schema\":\"paratreet.observability.v1\"";
+  out << "{\"schema\":\"paratreet.observability.v2\"";
 
   if (instr_.metrics != nullptr) {
     out << ",\"counters\":{";
@@ -81,13 +81,6 @@ std::string Reporter::toJson() const {
       if (!first) out << ',';
       first = false;
       out << '"' << jsonEscape(c.name()) << "\":" << c.value();
-    });
-    out << "},\"gauges\":{";
-    first = true;
-    instr_.metrics->forEachGauge([&](const Gauge& g) {
-      if (!first) out << ',';
-      first = false;
-      out << '"' << jsonEscape(g.name()) << "\":" << jsonNumber(g.value());
     });
     out << "},\"histograms\":{";
     first = true;
@@ -124,7 +117,17 @@ std::string Reporter::toJson() const {
   }
 
   if (instr_.trace != nullptr) {
-    out << ",\"trace\":{\"dropped\":" << instr_.trace->dropped()
+    out << ",\"spans\":{";
+    bool first = true;
+    instr_.trace->forEachTotal(
+        [&](const char* name, double seconds, std::uint64_t count) {
+          if (!first) out << ',';
+          first = false;
+          out << '"' << jsonEscape(name) << "\":{\"seconds\":"
+              << jsonNumber(seconds) << ",\"count\":" << count << '}';
+        });
+    out << "},\"trace\":{\"dropped\":" << instr_.trace->dropped()
+        << ",\"totals_overflow\":" << instr_.trace->totalsOverflow()
         << ",\"events\":";
     appendTraceEvents(out, instr_.trace->snapshot());
     out << '}';

@@ -6,10 +6,12 @@
 
 namespace paratreet::obs {
 
-/// End-of-run serializer: one JSON document with every registered metric,
-/// the activity-profiler totals, and the recorded trace spans (README
-/// "Observability" documents the schema). The trace section doubles as a
-/// Chrome trace_event dump via toChromeTrace().
+/// End-of-run serializer: one `paratreet.observability.v2` JSON document
+/// with every registered counter and histogram, the activity-profiler
+/// totals, the exact per-name span totals (`spans`: the phase times) and
+/// the recorded trace events (README "Observability" documents the
+/// schema). The trace section doubles as a Chrome trace_event dump via
+/// toChromeTrace().
 class Reporter {
  public:
   explicit Reporter(Instrumentation instr) : instr_(instr) {}

@@ -274,7 +274,7 @@ TEST(Chaos, FaultCountersReachTheMetricsReport) {
   const ChaosRun faulty =
       runGravity(mixedSchedule(chaosSeed()), ob.handle());
   const std::string json = obs::Reporter(ob.handle()).toJson();
-  EXPECT_NE(json.find("\"schema\":\"paratreet.observability.v1\""),
+  EXPECT_NE(json.find("\"schema\":\"paratreet.observability.v2\""),
             std::string::npos);
   const auto drops = faulty.fault_counts[static_cast<std::size_t>(
       rts::FaultKind::kDrop)];

@@ -179,16 +179,13 @@ TEST(Recovery, FaultFreeRunsReportZeroedCheckpointCounters) {
   EXPECT_EQ(clean.traversal_calls, 6);
   const auto* bytes = ob.metrics.findCounter("checkpoint.bytes");
   const auto* crashes = ob.metrics.findCounter("rts.crashes");
-  const auto* ckpt_s = ob.metrics.findGauge("checkpoint.seconds");
-  const auto* rec_s = ob.metrics.findGauge("recovery.seconds");
   ASSERT_NE(bytes, nullptr);
   ASSERT_NE(crashes, nullptr);
-  ASSERT_NE(ckpt_s, nullptr);
-  ASSERT_NE(rec_s, nullptr);
   EXPECT_EQ(bytes->value(), 0u);
   EXPECT_EQ(crashes->value(), 0u);
-  EXPECT_EQ(ckpt_s->value(), 0.0);
-  EXPECT_EQ(rec_s->value(), 0.0);
+  EXPECT_EQ(ob.trace.totalSeconds("checkpoint"), 0.0);
+  EXPECT_EQ(ob.trace.totalSeconds("recovery"), 0.0);
+  EXPECT_EQ(ob.trace.totalCount("recovery"), 0u);
   // And the instruments land in the JSON report, still zero.
   const std::string json = obs::Reporter(ob.handle()).toJson();
   EXPECT_NE(json.find("\"checkpoint.bytes\":0"), std::string::npos) << json;
@@ -203,16 +200,13 @@ TEST(Recovery, CrashRunReportsCheckpointAndRecoveryActivity) {
   EXPECT_GT(crashed.traversal_calls, 6);
   const auto* bytes = ob.metrics.findCounter("checkpoint.bytes");
   const auto* crashes = ob.metrics.findCounter("rts.crashes");
-  const auto* ckpt_s = ob.metrics.findGauge("checkpoint.seconds");
-  const auto* rec_s = ob.metrics.findGauge("recovery.seconds");
   ASSERT_NE(bytes, nullptr);
   ASSERT_NE(crashes, nullptr);
-  ASSERT_NE(ckpt_s, nullptr);
-  ASSERT_NE(rec_s, nullptr);
   EXPECT_GT(bytes->value(), 0u);
   EXPECT_EQ(crashes->value(), 1u);
-  EXPECT_GT(ckpt_s->value(), 0.0);
-  EXPECT_GT(rec_s->value(), 0.0);
+  EXPECT_GT(ob.trace.totalSeconds("checkpoint"), 0.0);
+  EXPECT_GT(ob.trace.totalSeconds("recovery"), 0.0);
+  EXPECT_EQ(ob.trace.totalCount("recovery"), 1u);
   // The recovery shows up as a "driver"-category span named "recovery",
   // and the crash as a "fault" event.
   bool saw_recovery = false, saw_crash_event = false;

@@ -197,31 +197,43 @@ TEST(Forest, IterationLoopIsStable) {
 
 TEST(Forest, PhaseTimersAccumulate) {
   rts::Runtime rt({1, 1});
-  Forest<CentroidData, OctTreeType> forest(rt, baseConfig());
+  obs::TraceBuffer trace;
+  Forest<CentroidData, OctTreeType> forest(
+      rt, baseConfig(), Instrumentation{nullptr, nullptr, &trace});
   forest.load(makeParticles(uniformCube(200, 107)));
   forest.decompose();
   forest.build();
   forest.traverse<GravityVisitor>(GravityVisitor{});
-  const auto& t = forest.phaseTimes();
-  EXPECT_GT(t.decompose, 0.0);
-  EXPECT_GT(t.build, 0.0);
-  EXPECT_GT(t.traverse, 0.0);
-  EXPECT_GE(t.build, t.leaf_share);
-  forest.resetPhaseTimes();
-  EXPECT_DOUBLE_EQ(forest.phaseTimes().build, 0.0);
+  EXPECT_GT(trace.totalSeconds("decompose"), 0.0);
+  EXPECT_GT(trace.totalSeconds("build"), 0.0);
+  EXPECT_GT(trace.totalSeconds("traverse.top_down"), 0.0);
+  EXPECT_GE(trace.totalSeconds("build"),
+            trace.totalSeconds("build.leaf_share"));
+  // Each sub-phase span opens once per phase call.
+  for (const char* name : {"decompose", "decompose.keys", "decompose.splitters",
+                           "decompose.scatter", "build", "build.local",
+                           "build.upper_tree", "build.leaf_share",
+                           "traverse.top_down"}) {
+    EXPECT_EQ(trace.totalCount(name), 1u) << name;
+  }
+  trace.reset();
+  EXPECT_DOUBLE_EQ(trace.totalSeconds("build"), 0.0);
 }
 
 TEST(Forest, LeafShareCostIsSmallFraction) {
   // Paper: "this leaf sharing step takes only 0.1-0.4% of the total
   // iteration time". Allow a loose bound here (small problem sizes).
   rts::Runtime rt({2, 2});
-  Forest<CentroidData, OctTreeType> forest(rt, baseConfig());
+  obs::TraceBuffer trace;
+  Forest<CentroidData, OctTreeType> forest(
+      rt, baseConfig(), Instrumentation{nullptr, nullptr, &trace});
   forest.load(makeParticles(uniformCube(2000, 109)));
   forest.decompose();
   forest.build();
   forest.traverse<GravityVisitor>(GravityVisitor{});
-  const auto& t = forest.phaseTimes();
-  EXPECT_LT(t.leaf_share, 0.5 * (t.build + t.traverse));
+  EXPECT_LT(trace.totalSeconds("build.leaf_share"),
+            0.5 * (trace.totalSeconds("build") +
+                   trace.totalSeconds("traverse.top_down")));
 }
 
 TEST(Forest, SubtreeRegionsMatchTreeType) {

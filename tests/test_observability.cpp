@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <regex>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,25 +35,6 @@ TEST(Metrics, CounterAggregatesConcurrentIncrements) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kIncrements);
-}
-
-TEST(Metrics, GaugeAggregatesConcurrentDeltas) {
-  obs::MetricsRegistry reg;
-  obs::Gauge& g = reg.gauge("test.level");
-  constexpr int kThreads = 8;
-  constexpr int kAdds = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&g] {
-      for (int i = 0; i < kAdds; ++i) g.add(0.5);
-      for (int i = 0; i < kAdds / 2; ++i) g.sub(1.0);
-    });
-  }
-  for (auto& t : threads) t.join();
-  // Each thread nets kAdds*0.5 - kAdds/2 = 0; plus one final set.
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  g.set(42.5);
-  EXPECT_DOUBLE_EQ(g.value(), 42.5);
 }
 
 TEST(Metrics, HistogramAggregatesConcurrentObservations) {
@@ -95,11 +81,9 @@ TEST(Metrics, RegistryReturnsSameInstrumentForSameName) {
 TEST(Metrics, ResetAllZeroesEverything) {
   obs::MetricsRegistry reg;
   reg.counter("c").add(7);
-  reg.gauge("g").add(1.5);
   reg.histogram("h", {1.0}).observe(0.5);
   reg.resetAll();
   EXPECT_EQ(reg.counter("c").value(), 0u);
-  EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 0.0);
   EXPECT_EQ(reg.histogram("h", {1.0}).snapshot().count, 0u);
 }
 
@@ -158,6 +142,91 @@ TEST(Trace, ConcurrentRecordingLosesNothingUnderCapacity) {
   EXPECT_EQ(buf.dropped(), 0u);
 }
 
+TEST(Trace, ConcurrentTotalsSumExactlyWhileTheRingDrops) {
+  obs::TraceBuffer buf(16);
+  constexpr int kThreads = 4;
+  constexpr int kSpans = 10000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&buf, t] {
+      obs::TraceEvent ev;
+      ev.name = "work";
+      for (int i = 0; i < kSpans; ++i) buf.record(ev, t + 1);  // ns
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(buf.totalCount("work"), std::uint64_t{kThreads} * kSpans);
+  // Thread t adds t+1 ns per span: kSpans * (1+2+3+4) ns in all.
+  EXPECT_DOUBLE_EQ(buf.totalSeconds("work"), kSpans * 10 * 1e-9);
+  EXPECT_EQ(buf.dropped(), std::uint64_t{kThreads} * kSpans - 16);
+}
+
+TEST(Trace, NamesEqualAsTextShareOneTotal) {
+  const char a[] = "same.name";
+  const char b[] = "same.name";
+  ASSERT_NE(static_cast<const void*>(a), static_cast<const void*>(b));
+  obs::TraceBuffer buf(8);
+  { obs::TraceSpan span(&buf, a, "test"); }
+  { obs::TraceSpan span(&buf, b, "test"); }
+  EXPECT_EQ(buf.totalCount(a), 2u);
+  EXPECT_EQ(buf.totalCount("same.name"), 2u);
+  int names = 0;
+  buf.forEachTotal([&](const char*, double, std::uint64_t) { ++names; });
+  EXPECT_EQ(names, 1);
+}
+
+TEST(Trace, SpanTotalsKeepNanosecondResolution) {
+  // Sub-microsecond spans truncate to 0 us as events but not in totals.
+  obs::TraceBuffer buf(4);
+  obs::TraceEvent ev;
+  ev.name = "tiny";
+  buf.record(ev, 400);
+  buf.record(ev, 300);
+  EXPECT_EQ(buf.snapshot()[0].duration_us, 0);
+  EXPECT_DOUBLE_EQ(buf.totalSeconds("tiny"), 700e-9);
+  // A record() without an exact duration counts its microsecond field.
+  ev.duration_us = 2;
+  buf.record(ev);
+  EXPECT_DOUBLE_EQ(buf.totalSeconds("tiny"), 2700e-9);
+  EXPECT_EQ(buf.totalCount("tiny"), 3u);
+}
+
+TEST(Trace, ResetZeroesTotals) {
+  obs::TraceBuffer buf(4);
+  { obs::TraceSpan span(&buf, "s", "test"); }
+  ASSERT_EQ(buf.totalCount("s"), 1u);
+  buf.reset();
+  EXPECT_EQ(buf.totalCount("s"), 0u);
+  EXPECT_EQ(buf.totalSeconds("s"), 0.0);
+  int names = 0;
+  buf.forEachTotal([&](const char*, double, std::uint64_t) { ++names; });
+  EXPECT_EQ(names, 0);
+}
+
+TEST(Trace, TotalsTableOverflowIsCountedAndReported) {
+  constexpr std::size_t kExtra = 5;
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < obs::TraceBuffer::kMaxSpanNames + kExtra; ++i) {
+    names.push_back("name." + std::to_string(i));
+  }
+  obs::TraceBuffer buf(1024);
+  for (const auto& name : names) {
+    obs::TraceSpan span(&buf, name.c_str(), "test");
+  }
+  EXPECT_EQ(buf.totalsOverflow(), kExtra);
+  EXPECT_EQ(buf.size(), names.size());  // the ring still kept every event
+  std::size_t totaled = 0;
+  buf.forEachTotal([&](const char*, double, std::uint64_t count) {
+    EXPECT_EQ(count, 1u);
+    ++totaled;
+  });
+  EXPECT_EQ(totaled, obs::TraceBuffer::kMaxSpanNames);
+  Instrumentation instr;
+  instr.trace = &buf;
+  EXPECT_NE(obs::Reporter(instr).toJson().find("\"totals_overflow\":5"),
+            std::string::npos);
+}
+
 // --- JSON export ------------------------------------------------------------
 
 /// Minimal structural JSON check: quotes balance, braces/brackets nest.
@@ -183,7 +252,6 @@ bool structurallyValidJson(const std::string& s) {
 TEST(Report, JsonExportRoundTrip) {
   Observability ob;
   ob.metrics.counter("cache.hits").add(12);
-  ob.metrics.gauge("phase.build_seconds").add(0.25);
   ob.metrics.histogram("rts.queue_depth", {1.0, 2.0}).observe(1.5);
   ob.profiler.record(rts::Activity::kTreeBuild, 0.5);
   {
@@ -193,10 +261,15 @@ TEST(Report, JsonExportRoundTrip) {
   obs::Reporter reporter(ob.handle());
   const std::string json = reporter.toJson();
   EXPECT_TRUE(structurallyValidJson(json)) << json;
-  EXPECT_NE(json.find("\"schema\":\"paratreet.observability.v1\""),
+  EXPECT_NE(json.find("\"schema\":\"paratreet.observability.v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"cache.hits\":12"), std::string::npos);
-  EXPECT_NE(json.find("phase.build_seconds"), std::string::npos);
+  EXPECT_EQ(json.find("\"gauges\""), std::string::npos);
+  // The span's exact total: one count under its name in "spans".
+  EXPECT_NE(json.find("\"spans\":{\"traverse.top_down\":{\"seconds\":"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"count\":1}"), std::string::npos) << json;
   EXPECT_NE(json.find("rts.queue_depth"), std::string::npos);
   EXPECT_NE(json.find("\"tree build\""), std::string::npos);
   EXPECT_NE(json.find("\"traverse.top_down\""), std::string::npos);
@@ -358,11 +431,15 @@ TEST(Observability, DriverEmitsMetricsSpansAndActivities) {
   EXPECT_GT(ob.metrics.histogram("rts.queue_depth", {1.0}).snapshot().count,
             0u);
 
-  // Phase gauges accumulated across both iterations.
-  ASSERT_NE(ob.metrics.findGauge("phase.build_seconds"), nullptr);
-  EXPECT_GT(ob.metrics.findGauge("phase.build_seconds")->value(), 0.0);
-  EXPECT_GT(ob.metrics.findGauge("phase.traverse_seconds")->value(), 0.0);
-  EXPECT_GT(ob.metrics.findGauge("phase.decompose_seconds")->value(), 0.0);
+  // Phase span totals accumulated across both iterations: one build and
+  // traversal per iteration, one decompose per iteration (the first from
+  // run(), the second from flush()).
+  EXPECT_GT(ob.trace.totalSeconds("build"), 0.0);
+  EXPECT_GT(ob.trace.totalSeconds("traverse.top_down"), 0.0);
+  EXPECT_GT(ob.trace.totalSeconds("decompose"), 0.0);
+  EXPECT_EQ(ob.trace.totalCount("build"), 2u);
+  EXPECT_EQ(ob.trace.totalCount("traverse.top_down"), 2u);
+  EXPECT_EQ(ob.trace.totalCount("decompose"), 2u);
 
   // At least one span per traversal, plus per-iteration driver spans.
   std::size_t traversal_spans = 0, iteration_spans = 0;
@@ -380,7 +457,115 @@ TEST(Observability, DriverEmitsMetricsSpansAndActivities) {
   const std::string json = obs::Reporter(ob.handle()).toJson();
   EXPECT_TRUE(structurallyValidJson(json));
   EXPECT_NE(json.find("cache.misses"), std::string::npos);
-  EXPECT_NE(json.find("phase.traverse_seconds"), std::string::npos);
+  EXPECT_NE(json.find("\"traverse.top_down\":{\"seconds\":"),
+            std::string::npos);
+}
+
+/// Per-name span counts of one Forest decompose/build/traverse sequence
+/// recorded into a TraceBuffer of `capacity` events.
+std::map<std::string, std::uint64_t> forestSpanCounts(std::size_t capacity,
+                                                      std::uint64_t* dropped) {
+  rts::Runtime rt({1, 2});
+  obs::TraceBuffer trace(capacity);
+  Configuration conf;
+  conf.min_partitions = 4;
+  conf.min_subtrees = 4;
+  Forest<CountData, OctTreeType> forest(
+      rt, conf, Instrumentation{nullptr, nullptr, &trace});
+  forest.load(makeParticles(uniformCube(300, 29)));
+  forest.decompose();
+  forest.build();
+  forest.traverse<SumVisitor>(SumVisitor{}, TraversalStyle::kTransposed,
+                              EvalKernel::kBatched);
+  std::map<std::string, std::uint64_t> counts;
+  trace.forEachTotal([&](const char* name, double, std::uint64_t count) {
+    counts[name] = count;
+  });
+  *dropped = trace.dropped();
+  return counts;
+}
+
+TEST(Trace, TotalsAreExactWhateverTheRingCapacity) {
+  std::uint64_t dropped_large = 0, dropped0 = 0, dropped1 = 0;
+  const auto large = forestSpanCounts(1 << 16, &dropped_large);
+  ASSERT_EQ(dropped_large, 0u);
+  EXPECT_EQ(large.at("build"), 1u);
+  EXPECT_EQ(large.at("build.leaf_share"), 1u);
+  std::uint64_t events = 0;
+  for (const auto& [name, count] : large) events += count;
+  EXPECT_EQ(forestSpanCounts(0, &dropped0), large);
+  EXPECT_EQ(dropped0, events);
+  EXPECT_EQ(forestSpanCounts(1, &dropped1), large);
+  EXPECT_EQ(dropped1, events - 1);
+}
+
+/// SumMain with its Configuration overridden and the batched kernel, so
+/// the kernel-phase spans and seal counters appear too.
+class DocumentedNamesMain : public SumMain {
+ public:
+  Configuration overrides;
+  void configure(Configuration& conf) override {
+    conf = overrides;
+    SumMain::configure(conf);
+  }
+  void traversal(int) override {
+    startDown<SumVisitor>({}, TraversalStyle::kTransposed,
+                          EvalKernel::kBatched);
+  }
+};
+
+/// Every counter, histogram and span name one run reports, per-worker
+/// names folded to their documented `rts.worker.p<P>.w<W>.` pattern.
+std::set<std::string> reportedNames(const Configuration& overrides) {
+  rts::Runtime rt({2, 1});
+  Observability ob;
+  DocumentedNamesMain app;
+  app.overrides = overrides;
+  app.run(rt, makeParticles(uniformCube(400, 31)), ob.handle());
+  std::set<std::string> names;
+  const std::regex worker(R"(^rts\.worker\.p\d+\.w\d+\.)");
+  auto add = [&](const std::string& name) {
+    names.insert(std::regex_replace(name, worker, "rts.worker.p<P>.w<W>."));
+  };
+  ob.metrics.forEachCounter([&](const obs::Counter& c) { add(c.name()); });
+  ob.metrics.forEachHistogram([&](const obs::Histogram& h) { add(h.name()); });
+  ob.trace.forEachTotal(
+      [&](const char* name, double, std::uint64_t) { add(name); });
+  return names;
+}
+
+TEST(Observability, EveryReportedNameIsDocumentedInTheReadme) {
+  std::ifstream in(PARATREET_README);
+  ASSERT_TRUE(in.good()) << PARATREET_README;
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string readme = text.str();
+  const std::size_t begin = readme.find("\n## Observability\n");
+  ASSERT_NE(begin, std::string::npos);
+  const std::string section =
+      readme.substr(begin, readme.find("\n## ", begin + 1) - begin);
+
+  Configuration durable;
+  durable.checkpoint_every = 1;
+  durable.checkpoint_dir = ::testing::TempDir() + "obs_names_ckpt";
+  std::filesystem::remove_all(durable.checkpoint_dir);
+  Configuration crash;
+  crash.checkpoint_every = 1;
+  crash.fault.crash_step = 1;
+  crash.fault.crash_rank = 1;
+  crash.fault.crash_after_tasks = 3;
+  crash.fault.drain_deadline_ms = 2000.0;
+  std::set<std::string> names = reportedNames(durable);
+  const std::set<std::string> crash_names = reportedNames(crash);
+  names.insert(crash_names.begin(), crash_names.end());
+  EXPECT_TRUE(names.count("checkpoint.persist")) << "durable run persisted";
+  EXPECT_TRUE(names.count("recovery")) << "crash run recovered";
+  for (const auto& name : names) {
+    EXPECT_NE(section.find("`" + name + "`"), std::string::npos)
+        << name << " is reported but not documented in README "
+        << "\"Observability\"";
+  }
+  std::filesystem::remove_all(durable.checkpoint_dir);
 }
 
 TEST(Observability, DriverRejectsInvalidConfiguration) {
