@@ -135,9 +135,8 @@ class ArgParser {
   ///   --checkpoint-dir=<path>
   ///                          also persist every sealed generation to
   ///                          disk, crash-consistently (ckpt_<step>/
-  ///                          with MANIFEST + CRCs, tmp-then-rename),
-  ///                          plus the legacy lossy .snap export; the
-  ///                          directory is created when missing
+  ///                          with MANIFEST + CRCs, tmp-then-rename);
+  ///                          the directory is created when missing
   ///   --checkpoint-keep=K    on-disk generations retained (default 2);
   ///                          older ones are garbage-collected
   ///   --resume               continue a dead job: restore the newest

@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the framework's hot paths:
 // Morton key generation, tree build across tree types, Data accumulation,
-// the force kernels, region serialization (the cache-fill payload), and
-// the two traversal orders. These are the primitives whose costs compose
+// the force kernels, region serialization (the cache-fill payload), the
+// CRC-32C bodies (frames and checkpoints), and the two traversal orders. These are the primitives whose costs compose
 // into the figure-level results; useful for regression tracking.
 
 #include <benchmark/benchmark.h>
@@ -11,6 +11,7 @@
 #include "core/serialization.hpp"
 #include "tree/builder.hpp"
 #include "tree/validate.hpp"
+#include "util/crc32c.hpp"
 #include "util/distributions.hpp"
 #include "util/small_vector.hpp"
 
@@ -119,6 +120,34 @@ void BM_SmallVectorPush(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SmallVectorPush);
+
+/// CRC-32C throughput of one body over a frame-sized (64 KiB) and a
+/// checkpoint-generation-sized (5 MiB) buffer.
+void BM_Crc32c(benchmark::State& state,
+               std::uint32_t (*body)(const void*, std::size_t, std::uint32_t),
+               bool needs_sse42) {
+#if defined(PARATREET_CRC32C_SSE42)
+  if (needs_sse42 && !util::detail::sse42Available()) {
+    state.SkipWithError("this CPU has no SSE4.2 crc32 instruction");
+    return;
+  }
+#endif
+  (void)needs_sse42;
+  std::vector<unsigned char> buf(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(body(buf.data(), buf.size(), 0));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Crc32c, table, util::detail::crc32cTable, false)
+    ->Arg(64 << 10)->Arg(5 << 20);
+#if defined(PARATREET_CRC32C_SSE42)
+BENCHMARK_CAPTURE(BM_Crc32c, sse42, util::detail::crc32cSse42, true)
+    ->Arg(64 << 10)->Arg(5 << 20);
+#endif
 
 /// Sequential gravity interaction sweep in the two orders, over a local
 /// tree — the Table II phenomenon as a microbenchmark.

@@ -166,13 +166,12 @@ struct Configuration {
   /// backoff, restart → shrink escalation, and a global recovery budget.
   RecoveryPolicy recovery{};
   /// When non-empty, every sealed checkpoint generation is also persisted
-  /// to this directory (created if missing) in two forms:
-  ///  - `ckpt_<step>/` — the verbatim chunk stream + MANIFEST written
-  ///    crash-consistently (rts::DurableStore): lossless, CRC-verified,
-  ///    and what `resume` restores from after whole-job death;
-  ///  - `checkpoint_<step>.snap` — a legacy util/snapshot export that
-  ///    keeps only position/velocity/mass/radius (drops keys, per-
-  ///    iteration outputs, ...), loadable via input_file but *lossy*.
+  /// to this directory (created if missing) as `ckpt_<step>/`: the
+  /// verbatim chunk stream + MANIFEST written crash-consistently
+  /// (rts::DurableStore), lossless, CRC-verified, and what `resume`
+  /// restores from after whole-job death. The write overlaps the next
+  /// step, so until run() returns the newest generation on disk may lag
+  /// the newest sealed one by one checkpoint.
   std::string checkpoint_dir;
   /// On-disk generations retained under checkpoint_dir (>= 1): older
   /// `ckpt_<step>/` directories are garbage-collected as new ones land,

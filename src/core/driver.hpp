@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -73,7 +74,10 @@ class Driver {
   /// with a checkpoint_dir, every sealed generation is also persisted
   /// crash-consistently on disk (rts::DurableStore: verbatim chunks +
   /// CRC'd MANIFEST, written to a .tmp directory and atomically renamed,
-  /// newest conf.checkpoint_keep generations retained). A run that died
+  /// newest conf.checkpoint_keep generations retained). The write runs
+  /// in the background while the next step computes, one generation at a
+  /// time, so the newest generation on disk may lag the newest sealed
+  /// one by one checkpoint until run() returns. A run that died
   /// whole — OOM-killed, node reboot, kill -9 of the process tree — is
   /// continued by rerunning with conf.resume: run() restores the newest
   /// generation that verifies (falling back past torn/corrupt ones; a
@@ -143,7 +147,8 @@ class Driver {
     // missing and stale ckpt_*.tmp leftovers of a previous death are
     // swept — and so a requested resume fails fast on a bad directory.
     rts::DurableStore disk_store;
-    rts::DurableStore* disk = nullptr;
+    DiskWriter disk_writer{&disk_store, disk_bytes, {}};
+    DiskWriter* disk = nullptr;
     if (!conf.checkpoint_dir.empty()) {
       rts::DurableStore::Options dopts;
       dopts.dir = conf.checkpoint_dir;
@@ -154,7 +159,7 @@ class Driver {
       dopts.torn_seed = conf.fault.seed;
       dopts.on_torn = [&rt] { rt.noteFault(rts::FaultKind::kTornWrite); };
       disk_store.open(std::move(dopts));
-      disk = &disk_store;
+      disk = &disk_writer;
     }
     resumed_from_step_ = rts::CheckpointStore::kNoStep;
     resume_skipped_ = 0;
@@ -163,7 +168,7 @@ class Driver {
     if (conf.resume && disk != nullptr) {
       // nullopt = no generation on disk at all: fall through to a fresh
       // start, so --resume is idempotent on the very first launch too.
-      recovered = disk->loadNewestVerified();
+      recovered = disk_store.loadNewestVerified();
     }
 
     forest_ = std::make_unique<Forest<Data, TreeTypeT>>(rt, conf, instr);
@@ -186,8 +191,8 @@ class Driver {
       // disk write — that generation already exists on disk, and
       // re-persisting it would garbage-collect its older sibling.
       const int base = recovered.has_value() ? recovered->step : -1;
-      checkpoint(store, conf, instr, base, /*from_subtrees=*/true,
-                 recovered.has_value() ? nullptr : disk, disk_bytes);
+      checkpoint(store, instr, base, /*from_subtrees=*/true,
+                 recovered.has_value() ? nullptr : disk);
     }
 
     // A scheduled crash/wedge fires exactly once, even though recovery
@@ -236,8 +241,7 @@ class Driver {
         // reproduces exactly what flush() would have seen.
         if (ckpt_on && (iter + 1) % conf.checkpoint_every == 0 &&
             iter + 1 < conf.num_iterations) {
-          checkpoint(store, conf, instr, iter, /*from_subtrees=*/false, disk,
-                     disk_bytes);
+          checkpoint(store, instr, iter, /*from_subtrees=*/false, disk);
         }
         if (iter + 1 < conf.num_iterations) forest_->flush();
         ++iter;
@@ -323,6 +327,7 @@ class Driver {
         iter = step + 1;
       }
     }
+    if (disk != nullptr) disk->wait();
   }
 
   /// The engine; valid during and after run().
@@ -361,67 +366,60 @@ class Driver {
   }
 
  private:
+  /// The durable half of checkpointing: at most one generation being
+  /// written to disk while the next step runs. run() owns it, declared
+  /// after the DurableStore and the instrumentation detach so that it is
+  /// destroyed first: a std::async future's destructor joins the write,
+  /// on every exit path, exceptions included. (When run() is already
+  /// leaving by an exception, that exception wins over a write error.)
+  struct DiskWriter {
+    rts::DurableStore* store;
+    obs::Counter* bytes;
+    std::future<void> in_flight;
+
+    /// Block until the previous write is on disk; rethrows its IO error.
+    void wait() {
+      if (in_flight.valid()) in_flight.get();
+    }
+  };
+
+  /// The trace lane (tid) of the background writer's spans, apart from
+  /// the driver thread's -1.
+  static constexpr std::int32_t kWriterLane = -2;
+
   /// One checkpoint generation: gather + commit on every live rank,
   /// drain out the buddy copies, seal. A crash mid-checkpoint throws out
   /// of checkpointTo()'s drain before seal() — the half-written
   /// generation is then ignored by recovery. With `disk` set, the sealed
-  /// generation is then persisted crash-consistently (verbatim chunks +
-  /// manifest, tmp-then-rename) and the legacy lossy .snap export rides
-  /// along.
-  void checkpoint(rts::CheckpointStore& store, const Configuration& conf,
-                  const Instrumentation& instr, int step, bool from_subtrees,
-                  rts::DurableStore* disk, obs::Counter* disk_bytes) {
+  /// generation is then handed to the background writer, which persists
+  /// it crash-consistently (verbatim chunks + manifest, tmp-then-rename)
+  /// while the next step runs; this call first waits for the previous
+  /// generation's write.
+  void checkpoint(rts::CheckpointStore& store, const Instrumentation& instr,
+                  int step, bool from_subtrees, DiskWriter* disk) {
     obs::TraceSpan span(instr.trace, "checkpoint", "driver");
     forest_->checkpointTo(store, step, from_subtrees);
     store.seal(step);
-    if (disk != nullptr) {
-      obs::TraceSpan persist_span(instr.trace, "checkpoint.persist",
-                                  "driver");
-      const auto chunks = store.assemble(step);
-      const std::uint64_t bytes = disk->persist(
-          step, chunks,
-          static_cast<std::uint64_t>(forest_->particleCount()));
-      // Convert on the worker runtime, overlapped with the disk writes
-      // (saveSnapshot's chunked double-buffering).
-      RuntimeParallelFor par(forest_->runtime(),
-                             forest_->runtime().liveProcs());
-      writeCheckpointSnapshot(chunks, conf.checkpoint_dir, step, &par);
-      if (disk_bytes != nullptr) disk_bytes->add(bytes);
+    if (disk == nullptr) return;
+    {
+      obs::TraceSpan wait_span(instr.trace, "checkpoint.persist_wait",
+                               "driver");
+      disk->wait();
     }
-  }
-
-  /// Legacy on-disk export: write an assembled generation as an ordinary
-  /// util/snapshot file (checkpoint_<step>.snap), loadable later through
-  /// conf.input_file. Unlike the ckpt_<step>/ generation directories
-  /// this form is *lossy* — only position/velocity/mass/radius survive
-  /// (keys, per-iteration outputs and identity beyond input order are
-  /// dropped) — so `resume` never reads it; it exists for external
-  /// tooling that speaks the snapshot format. saveSnapshot itself writes
-  /// tmp-then-rename, so a death mid-export can't leave a truncated file
-  /// at the loadable name.
-  static void writeCheckpointSnapshot(
-      const std::vector<std::vector<std::byte>>& chunks,
-      const std::string& dir, int step, ParallelFor* par = nullptr) {
-    std::vector<Particle> all;
-    for (const auto& chunk : chunks) {
-      auto decoded = deserializeCheckpointChunk(chunk);
-      all.insert(all.end(), decoded.second.begin(), decoded.second.end());
-    }
-    InitialConditions ic;
-    ic.positions.resize(all.size());
-    ic.velocities.resize(all.size());
-    ic.masses.resize(all.size());
-    ic.radii.resize(all.size());
-    for (const auto& p : all) {
-      const auto i = static_cast<std::size_t>(p.order);
-      if (i >= all.size()) continue;  // restore validates; keep the writer lax
-      ic.positions[i] = p.position;
-      ic.velocities[i] = p.velocity;
-      ic.masses[i] = p.mass;
-      ic.radii[i] = p.ball_radius;
-    }
-    saveSnapshot(dir + "/checkpoint_" + std::to_string(step) + ".snap", ic,
-                 par);
+    const auto particles =
+        static_cast<std::uint64_t>(forest_->particleCount());
+    disk->in_flight = std::async(
+        std::launch::async,
+        [disk_store = disk->store, disk_bytes = disk->bytes,
+         trace = instr.trace, step, particles,
+         chunks = store.assemble(step)]() mutable {
+          obs::TraceSpan persist_span(trace, "checkpoint.persist", "driver",
+                                      -1, kWriterLane);
+          const std::uint64_t bytes =
+              disk_store->persist(step, chunks, particles);
+          chunks = {};  // free the copy now, not when the future is read
+          if (disk_bytes != nullptr) disk_bytes->add(bytes);
+        });
   }
 
   std::unique_ptr<Forest<Data, TreeTypeT>> forest_;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -317,7 +318,7 @@ std::vector<std::string> listEntries(const std::string& dir) {
 void removeTree(const std::string& dir) {
   if (!pathExists(dir)) return;
   if (!isDirectory(dir)) {
-    // Plain-file debris (e.g. a .snap.tmp export killed mid-stream).
+    // Plain-file debris (e.g. a .snap.tmp export of an older build).
     if (::unlink(dir.c_str()) != 0 && errno != ENOENT) {
       throwErrno("unlink", dir);
     }
@@ -332,29 +333,39 @@ void removeTree(const std::string& dir) {
   if (::rmdir(dir.c_str()) != 0 && errno != ENOENT) throwErrno("rmdir", dir);
 }
 
-/// Write + fsync one file: the data is on the platter (or its journal)
-/// before the caller proceeds to the rename that makes it reachable.
-void writeFileDurable(const std::string& path, const void* data,
-                      std::size_t size) {
+/// Write + fsync one file holding `parts` back to back: the data is on
+/// the platter (or its journal) before the caller proceeds to the rename
+/// that makes it reachable.
+void writeFileDurable(const std::string& path,
+                      std::span<const std::span<const std::byte>> parts) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) throwErrno("open for write", path);
-  const char* p = static_cast<const char*>(data);
-  std::size_t left = size;
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      throwErrno("write", path);
+  for (const auto part : parts) {
+    const std::byte* p = part.data();
+    std::size_t left = part.size();
+    while (left > 0) {
+      const ssize_t n = ::write(fd, p, left);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        ::close(fd);
+        throwErrno("write", path);
+      }
+      p += n;
+      left -= static_cast<std::size_t>(n);
     }
-    p += n;
-    left -= static_cast<std::size_t>(n);
   }
   if (::fsync(fd) != 0) {
     ::close(fd);
     throwErrno("fsync", path);
   }
   if (::close(fd) != 0) throwErrno("close", path);
+}
+
+void writeFileDurable(const std::string& path, const void* data,
+                      std::size_t size) {
+  const std::span<const std::byte> part(static_cast<const std::byte*>(data),
+                                        size);
+  writeFileDurable(path, {&part, 1});
 }
 
 /// fsync a directory so the entries created/renamed in it are durable.
@@ -639,9 +650,9 @@ void DurableStore::open(Options opts) {
   opts_ = std::move(opts);
   createDirs(opts_.dir);
   // Startup hygiene: a previous death mid-write can leave *.tmp debris —
-  // a ckpt_<step>.tmp generation dir never renamed in, or a lossy
-  // checkpoint_<step>.snap.tmp export killed mid-stream. Neither is ever
-  // loadable (rename is the commit point for both), so sweep them all.
+  // a ckpt_<step>.tmp generation dir never renamed in, or the
+  // checkpoint_<step>.snap.tmp of an older build's lossy export. Neither
+  // is ever loadable (rename is the commit point for both), so sweep them.
   const std::size_t slen = std::strlen(kTmpSuffix);
   for (const auto& name : listEntries(opts_.dir)) {
     if (name.size() > slen &&
@@ -679,19 +690,24 @@ std::uint64_t DurableStore::persist(
   removeTree(tmp_dir);  // a failed attempt earlier this run
   if (::mkdir(tmp_dir.c_str(), 0755) != 0) throwErrno("mkdir", tmp_dir);
 
-  std::vector<std::byte> bytes;
+  // chunks.bin is the chunks back to back, written straight from them;
+  // the whole-file CRC chains across the chunks through crc32c's seed.
   std::vector<ManifestEntry> entries;
+  std::vector<std::span<const std::byte>> parts;
   entries.reserve(chunks.size());
+  parts.reserve(chunks.size());
+  std::uint64_t file_size = 0;
+  std::uint32_t file_crc = 0;
   for (const auto& chunk : chunks) {
     ManifestEntry e;
-    e.offset = bytes.size();
+    e.offset = file_size;
     e.size = chunk.size();
     e.crc = chunkCrc(chunk);
     entries.push_back(e);
-    bytes.insert(bytes.end(), chunk.begin(), chunk.end());
+    parts.emplace_back(chunk);
+    file_size += chunk.size();
+    file_crc = util::crc32c(chunk.data(), chunk.size(), file_crc);
   }
-  const std::uint32_t file_crc =
-      bytes.empty() ? 0u : util::crc32c(bytes.data(), bytes.size());
   const std::string manifest =
       encodeManifest(step, opts_.config_hash, particle_count, entries,
                      file_crc);
@@ -700,7 +716,7 @@ std::uint64_t DurableStore::persist(
   // directory's entries, then the atomic rename, then the parent's entry.
   // Die anywhere along it and the final name either doesn't exist yet or
   // is the complete, fsync'd generation.
-  writeFileDurable(tmp_dir + "/chunks.bin", bytes.data(), bytes.size());
+  writeFileDurable(tmp_dir + "/chunks.bin", parts);
   writeFileDurable(tmp_dir + "/MANIFEST", manifest.data(), manifest.size());
   fsyncDir(tmp_dir);
   // Recovery can rewind and re-persist an already-persisted step; rename
@@ -712,7 +728,7 @@ std::uint64_t DurableStore::persist(
   fsyncDir(opts_.dir);
   if (opts_.torn_write) tearNewestRepairOlder(step);
   gcOldGenerations();
-  return static_cast<std::uint64_t>(bytes.size() + manifest.size());
+  return file_size + manifest.size();
 }
 
 void DurableStore::tearNewestRepairOlder(int step) {

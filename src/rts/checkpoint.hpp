@@ -192,8 +192,11 @@ class DurableStore {
   /// Persist one sealed generation crash-consistently (write tmp → fsync
   /// files → fsync tmp dir → rename → fsync parent), then GC down to the
   /// newest `keep` generations. An existing `ckpt_<step>/` is replaced
-  /// (recovery can rewind and re-persist a step). Returns the bytes
-  /// written (chunks + manifest). Throws std::runtime_error on IO errors.
+  /// (recovery can rewind and re-persist a step). chunks.bin is written
+  /// from `chunks` in order, never concatenated in memory. Returns the
+  /// bytes written (chunks + manifest). Throws std::runtime_error on IO
+  /// errors. May run on any thread (Driver runs it on a background
+  /// writer), but only one persist at a time; on_torn runs on that thread.
   std::uint64_t persist(int step,
                         const std::vector<std::vector<std::byte>>& chunks,
                         std::uint64_t particle_count);

@@ -61,8 +61,8 @@ Record makeRecord(const InitialConditions& ic, std::size_t i) {
 void saveSnapshot(const std::string& path, const InitialConditions& ic,
                   ParallelFor* par) {
   // Write-to-tmp + rename: a crash mid-write must never leave a
-  // truncated file at the final, loadable name (the checkpoint .snap
-  // exports depend on this). The rename at the end is atomic on POSIX.
+  // truncated file at the final, loadable name. The rename at the end is
+  // atomic on POSIX.
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot open for writing: " + tmp);

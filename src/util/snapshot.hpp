@@ -19,10 +19,10 @@ namespace paratreet {
 /// naming the offender.
 ///
 /// saveSnapshot converts in chunks and overlaps each chunk's disk write
-/// with the conversion of the next. `par` (optional) additionally spreads
-/// the record conversion over worker tasks — Driver checkpointing passes
-/// a RuntimeParallelFor over the live ranks; nullptr converts serially
-/// (still overlapped with the writes).
+/// with the conversion of the next. `par` (optional, e.g. a
+/// RuntimeParallelFor over the live ranks) additionally spreads the
+/// record conversion over worker tasks; nullptr converts serially (still
+/// overlapped with the writes).
 class ParallelFor;
 void saveSnapshot(const std::string& path, const InitialConditions& ic,
                   ParallelFor* par = nullptr);

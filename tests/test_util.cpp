@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "util/box.hpp"
+#include "util/crc32c.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/small_vector.hpp"
@@ -294,6 +297,65 @@ TEST(SmallVector, Reserve) {
   EXPECT_GE(v.capacity(), 100u);
   v.push_back(1);
   EXPECT_EQ(v[0], 1);
+}
+
+// --- CRC-32C ---------------------------------------------------------------
+
+std::uint32_t crcOf(const std::vector<std::uint8_t>& bytes) {
+  return util::crc32c(bytes.data(), bytes.size());
+}
+
+TEST(Crc32c, CheckValue) {
+  const char text[] = "123456789";
+  EXPECT_EQ(util::crc32c(text, 9), 0xE3069283u);
+  EXPECT_EQ(util::detail::crc32cTable(text, 9, 0), 0xE3069283u);
+  EXPECT_EQ(util::crc32c(text, 0), 0u);
+}
+
+TEST(Crc32c, Rfc3720Vectors) {
+  // RFC 3720 (iSCSI) Appendix B.4.
+  std::vector<std::uint8_t> ascending(32), descending(32);
+  std::iota(ascending.begin(), ascending.end(), 0);
+  std::iota(descending.rbegin(), descending.rend(), 0);
+  EXPECT_EQ(crcOf(std::vector<std::uint8_t>(32, 0x00)), 0x8A9136AAu);
+  EXPECT_EQ(crcOf(std::vector<std::uint8_t>(32, 0xFF)), 0x62A8AB43u);
+  EXPECT_EQ(crcOf(ascending), 0x46DD794Eu);
+  EXPECT_EQ(crcOf(descending), 0x113FDB5Cu);
+}
+
+TEST(Crc32c, ChainingThroughSeedEqualsOneShot) {
+  std::vector<std::uint8_t> bytes(1000);
+  Rng rng(7);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  const std::uint32_t whole = crcOf(bytes);
+  for (const std::size_t cut : {0, 1, 7, 8, 9, 500, 999, 1000}) {
+    const std::uint32_t head = util::crc32c(bytes.data(), cut);
+    EXPECT_EQ(util::crc32c(bytes.data() + cut, bytes.size() - cut, head),
+              whole)
+        << "cut at " << cut;
+  }
+}
+
+TEST(Crc32c, HardwareAndTableBodiesAgree) {
+#if defined(PARATREET_CRC32C_SSE42)
+  if (!util::detail::sse42Available()) {
+    GTEST_SKIP() << "this CPU has no SSE4.2 crc32 instruction";
+  }
+  std::vector<std::uint8_t> bytes(4096 + 8);
+  Rng rng(11);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const auto seed = static_cast<std::uint32_t>(rng.next());
+      const std::uint8_t* p = bytes.data() + offset;
+      ASSERT_EQ(util::detail::crc32cSse42(p, len, seed),
+                util::detail::crc32cTable(p, len, seed))
+          << "len " << len << ", offset " << offset << ", seed " << seed;
+    }
+  }
+#else
+  GTEST_SKIP() << "no SSE4.2 body on this architecture";
+#endif
 }
 
 }  // namespace
