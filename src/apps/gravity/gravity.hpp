@@ -40,28 +40,41 @@ struct GravityParams {
   bool use_quadrupole = true;
 };
 
-/// Acceleration and potential on a point at `pos` from the multipole
-/// expansion of `data` (the paper's gravApprox helper).
-inline void gravApprox(const CentroidData& data, const Vec3& pos,
+/// Acceleration and potential on a point at `pos` from a multipole
+/// expansion given by its total mass, centroid and traceless quadrupole
+/// (`quad` is read only with params.use_quadrupole). A node's centroid and
+/// quadrupole do not depend on the target, so callers evaluating many
+/// targets against one node compute them once.
+inline void gravApprox(double sum_mass, const Vec3& centroid,
+                       const SymTensor3& quad, const Vec3& pos,
                        const GravityParams& params, Vec3& accel,
                        double& potential) {
-  const Vec3 dr = pos - data.centroid();
+  const Vec3 dr = pos - centroid;
   const double r2 = dr.lengthSquared() + params.softening * params.softening;
   const double r = std::sqrt(r2);
   const double inv_r3 = 1.0 / (r2 * r);
-  accel += (-params.G * data.sum_mass * inv_r3) * dr;
-  potential += -params.G * data.sum_mass / r;
+  accel += (-params.G * sum_mass * inv_r3) * dr;
+  potential += -params.G * sum_mass / r;
   if (params.use_quadrupole) {
     // Traceless quadrupole: phi_Q = -G q_rr / (2 r^5),
     // a_Q = G [ Q dr / r^5 - (5/2) q_rr dr / r^7 ].
-    const SymTensor3 q = data.quadrupole();
-    const Vec3 qd = q.mul(dr);
+    const Vec3 qd = quad.mul(dr);
     const double qrr = dr.dot(qd);
     const double inv_r5 = inv_r3 / r2;
     const double inv_r7 = inv_r5 / r2;
     accel += params.G * (qd * inv_r5 - (2.5 * qrr * inv_r7) * dr);
     potential += -params.G * 0.5 * qrr * inv_r5;
   }
+}
+
+/// Acceleration and potential on a point at `pos` from the multipole
+/// expansion of `data` (the paper's gravApprox helper).
+inline void gravApprox(const CentroidData& data, const Vec3& pos,
+                       const GravityParams& params, Vec3& accel,
+                       double& potential) {
+  gravApprox(data.sum_mass, data.centroid(),
+             params.use_quadrupole ? data.quadrupole() : SymTensor3{}, pos,
+             params, accel, potential);
 }
 
 /// Pairwise Newtonian force on `pos` from one source particle (the
@@ -301,10 +314,14 @@ struct GravityVisitor {
 
   void node(const SpatialNode<CentroidData>& source,
             SpatialNode<CentroidData>& target) const {
+    const Vec3 c = source.data.centroid();
+    const SymTensor3 q =
+        params.use_quadrupole ? source.data.quadrupole() : SymTensor3{};
     for (int i = 0; i < target.n_particles; ++i) {
       Vec3 accel{};
       double phi = 0.0;
-      gravApprox(source.data, target.particle(i).position, params, accel, phi);
+      gravApprox(source.data.sum_mass, c, q, target.particle(i).position,
+                 params, accel, phi);
       target.applyAcceleration(i, accel);
       target.applyPotential(i, phi);
     }

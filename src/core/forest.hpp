@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <fstream>
@@ -80,8 +81,29 @@ class Forest {
   /// (the Fig 5 case).
   std::size_t splitBucketCount() const { return split_buckets_.load(); }
 
-  /// Take ownership of the particle set.
+  /// Take ownership of the particle set. Every `order` must be unique and
+  /// within [0, n): flush() gathers each particle back into
+  /// `particles_[order]` in place, so a duplicate or out-of-range order
+  /// would lose a particle or write out of bounds. Throws
+  /// std::invalid_argument naming the first offending index.
   void load(std::vector<Particle> particles) {
+    const std::size_t n = particles.size();
+    std::vector<char> seen(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int32_t order = particles[i].order;
+      if (order < 0 || static_cast<std::size_t>(order) >= n) {
+        throw std::invalid_argument(
+            "Forest::load: particle " + std::to_string(i) + " has order " +
+            std::to_string(order) + ", outside [0, " + std::to_string(n) +
+            ")");
+      }
+      if (seen[static_cast<std::size_t>(order)] != 0) {
+        throw std::invalid_argument(
+            "Forest::load: particle " + std::to_string(i) +
+            " repeats order " + std::to_string(order));
+      }
+      seen[static_cast<std::size_t>(order)] = 1;
+    }
     particles_ = std::move(particles);
   }
   std::size_t particleCount() const { return particles_.size(); }
@@ -96,6 +118,10 @@ class Forest {
   /// and the scatter — runs chunked on the worker runtime; kSort is the
   /// serial full-sort reference path kept for A/B validation, and both
   /// produce identical piece assignments.
+  ///
+  /// Subtrees, like Partitions, stay resident while their count is
+  /// unchanged: every scatter path refills the existing intake vectors
+  /// in place, so their capacity carries over from step to step.
   void decompose() {
     obs::TraceSpan span(instr_.trace, "decompose", "phase");
     // Chares are placed over the *live* ranks only: on a fault-free run
@@ -203,19 +229,30 @@ class Forest {
       part.clear();
     }
     if (!keep_placement) placement_override_.clear();
-    subtrees_.clear();
+    if (static_cast<int>(subtrees_.size()) != n_subtrees) {
+      subtrees_.clear();
+      subtrees_.reserve(static_cast<std::size_t>(n_subtrees));
+      for (int i = 0; i < n_subtrees; ++i) {
+        subtrees_.push_back(std::make_unique<Subtree<Data>>());
+      }
+    }
     for (int i = 0; i < n_subtrees; ++i) {
-      auto st = std::make_unique<Subtree<Data>>();
-      st->index = i;
-      st->home_proc = placeOf(i, n_subtrees);
-      st->region = regions[static_cast<std::size_t>(i)];
-      subtrees_.push_back(std::move(st));
+      auto& st = *subtrees_[static_cast<std::size_t>(i)];
+      st.index = i;
+      st.home_proc = placeOf(i, n_subtrees);
+      st.region = regions[static_cast<std::size_t>(i)];
+      // The previous tree indexes the intake vector being refilled; the
+      // next build() replaces it.
+      st.root = nullptr;
     }
     {
       obs::TraceSpan scatter_span(instr_.trace, "decompose.scatter", "phase");
-      if (parallel) {
+      if (parallel && chunks > 1) {
         scatterParallel(worker_par, chunks, n_subtrees);
       } else {
+        // One chunk (or kSort): the count pass buys nothing, a single
+        // append pass is strictly cheaper and yields the same order.
+        for (auto& st : subtrees_) st->particles.clear();
         for (const auto& p : particles_) {
           subtrees_[static_cast<std::size_t>(p.subtree)]->particles.push_back(
               p);
@@ -506,34 +543,29 @@ class Forest {
 
   /// End-of-iteration flush (paper Section II.D.1): pull the updated
   /// particles back from the Partitions, clear per-iteration outputs, and
-  /// re-run decomposition so the next build sees the new positions. The
-  /// gather runs one task per Partition on its home process — every
-  /// particle's `order` slot is unique, so the writes are disjoint.
+  /// re-run decomposition so the next build sees the new positions.
+  ///
+  /// The particle set stays resident: the gather writes each particle
+  /// straight into `particles_[order]`, one task per Partition on its
+  /// home process. load() guarantees the orders are a permutation of
+  /// [0, n), so the writes are disjoint and overwrite every slot; nothing
+  /// reads `particles_` between the traversal and this point.
   void flush() {
     {
       obs::TraceSpan span(instr_.trace, "flush.gather", "phase");
-      std::vector<Particle> gathered(particles_.size());
       for (auto& pp : partitions_) {
         Partition<Data>* part = pp.get();
-        rt_.enqueue(part->home_proc, [part, &gathered] {
+        rt_.enqueue(part->home_proc, [this, part] {
           for (const auto& b : part->buckets) {
             for (const auto& p : b.particles) {
-              Particle& q = gathered[static_cast<std::size_t>(p.order)];
+              Particle& q = particles_[static_cast<std::size_t>(p.order)];
               q = p;
-              q.acceleration = Vec3{};
-              q.potential = 0.0;
-              q.density = 0.0;
-              q.pressure = 0.0;
-              q.collision_partner = -1;
-              q.collision_time = 0.0;
-              q.neighbor_count = 0;
-              q.ball2 = 0.0;
+              clearOutputs(q);
             }
           }
         });
       }
       rt_.drain();
-      particles_ = std::move(gathered);
     }
     decompose();
   }
@@ -628,16 +660,7 @@ class Forest {
       }
     }
     particles_ = std::move(restored);
-    for (auto& p : particles_) {
-      p.acceleration = Vec3{};
-      p.potential = 0.0;
-      p.density = 0.0;
-      p.pressure = 0.0;
-      p.collision_partner = -1;
-      p.collision_time = 0.0;
-      p.neighbor_count = 0;
-      p.ball2 = 0.0;
-    }
+    for (auto& p : particles_) clearOutputs(p);
     decompose();
   }
 
@@ -677,21 +700,27 @@ class Forest {
     rt_.drain();
   }
 
+  /// Reset the per-iteration outputs visitors write (flush and restore).
+  static void clearOutputs(Particle& p) {
+    p.acceleration = Vec3{};
+    p.potential = 0.0;
+    p.density = 0.0;
+    p.pressure = 0.0;
+    p.collision_partner = -1;
+    p.collision_time = 0.0;
+    p.neighbor_count = 0;
+    p.ball2 = 0.0;
+  }
+
   /// Two-pass parallel scatter of particles_ into the Subtrees' intake
   /// vectors: count per (chunk, subtree), lay out chunk-major exclusive
   /// offsets per subtree (so concatenation reproduces the serial
-  /// push_back order exactly), then write disjoint ranges directly.
+  /// push_back order exactly), then write disjoint ranges directly. The
+  /// intake vectors are resized in place: slots they already hold are
+  /// overwritten without a value-initializing pass.
   void scatterParallel(ParallelFor& par, int chunks, int n_subtrees) {
     const std::size_t n = particles_.size();
     const auto ns = static_cast<std::size_t>(n_subtrees);
-    if (chunks <= 1) {
-      // One chunk: the count pass buys nothing, a single append pass is
-      // strictly cheaper (and produces the identical order).
-      for (const auto& p : particles_) {
-        subtrees_[static_cast<std::size_t>(p.subtree)]->particles.push_back(p);
-      }
-      return;
-    }
     std::vector<std::vector<std::size_t>> counts(
         static_cast<std::size_t>(chunks));
     par.run(chunks, [&](int c) {
@@ -735,40 +764,51 @@ class Forest {
   /// to (Fig 4 step 3 / Fig 5). Runs on the Subtree's home process.
   void shareLeaves(Subtree<Data>& st) {
     forEachLeaf(st.root, [&](Node<Data>* leaf) {
-      if (leaf->type != NodeType::kLeaf) return;
-      // Group the bucket's particles by target Partition. Most buckets
-      // map to a single Partition; only boundary buckets split.
+      if (leaf->type != NodeType::kLeaf || leaf->n_particles == 0) return;
+      const Particle* first = leaf->particles;
+      const Particle* last = first + leaf->n_particles;
+      // Most buckets map to a single Partition and are copied in one
+      // pass; only boundary buckets are grouped by target Partition.
+      const std::int32_t home_part = first->partition;
+      if (std::all_of(first, last, [home_part](const Particle& p) {
+            return p.partition == home_part;
+          })) {
+        shareBucket(st, *leaf, home_part, std::vector<Particle>(first, last));
+        return;
+      }
       std::map<std::int32_t, std::vector<Particle>> by_part;
-      for (int i = 0; i < leaf->n_particles; ++i) {
-        const Particle& p = leaf->particles[i];
-        by_part[p.partition].push_back(p);
+      for (const Particle* p = first; p != last; ++p) {
+        by_part[p->partition].push_back(*p);
       }
-      if (by_part.size() > 1) {
-        split_buckets_.fetch_add(by_part.size() - 1, std::memory_order_relaxed);
-      }
+      split_buckets_.fetch_add(by_part.size() - 1, std::memory_order_relaxed);
       for (auto& [part_idx, parts] : by_part) {
-        Bucket<Data> bucket;
-        bucket.leaf_key = leaf->key;
-        bucket.box = leaf->box;
-        bucket.data = Data(parts.data(), static_cast<int>(parts.size()));
-        bucket.particles = std::move(parts);
-        Partition<Data>& target =
-            *partitions_[static_cast<std::size_t>(part_idx)];
-        if (target.home_proc == st.home_proc) {
-          // Same process: pass directly (by pointer in the paper; the
-          // bucket copy here is the writable target storage either way).
-          target.addBucket(std::move(bucket));
-        } else {
-          const std::size_t bytes = sizeof(Bucket<Data>) +
-                                    bucket.particles.size() * sizeof(Particle);
-          auto shared = std::make_shared<Bucket<Data>>(std::move(bucket));
-          Partition<Data>* tp = &target;
-          rt_.send(st.home_proc, target.home_proc, bytes, [tp, shared] {
-            tp->addBucket(std::move(*shared));
-          });
-        }
+        shareBucket(st, *leaf, part_idx, std::move(parts));
       }
     });
+  }
+
+  /// Hand `parts` (the share of `leaf` owned by Partition `part_idx`) to
+  /// that Partition as one target bucket.
+  void shareBucket(const Subtree<Data>& st, const Node<Data>& leaf,
+                   std::int32_t part_idx, std::vector<Particle> parts) {
+    Bucket<Data> bucket;
+    bucket.leaf_key = leaf.key;
+    bucket.box = leaf.box;
+    bucket.data = Data(parts.data(), static_cast<int>(parts.size()));
+    bucket.particles = std::move(parts);
+    Partition<Data>& target = *partitions_[static_cast<std::size_t>(part_idx)];
+    if (target.home_proc == st.home_proc) {
+      // Same process: pass directly (by pointer in the paper; the bucket
+      // copy here is the writable target storage either way).
+      target.addBucket(std::move(bucket));
+    } else {
+      const std::size_t bytes =
+          sizeof(Bucket<Data>) + bucket.particles.size() * sizeof(Particle);
+      auto shared = std::make_shared<Bucket<Data>>(std::move(bucket));
+      Partition<Data>* tp = &target;
+      rt_.send(st.home_proc, target.home_proc, bytes,
+               [tp, shared] { tp->addBucket(std::move(*shared)); });
+    }
   }
 
   rts::Runtime& rt_;

@@ -13,8 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "decomp/decomposition.hpp"
-
 namespace paratreet {
 
 namespace {
@@ -58,8 +56,7 @@ Record makeRecord(const InitialConditions& ic, std::size_t i) {
 
 }  // namespace
 
-void saveSnapshot(const std::string& path, const InitialConditions& ic,
-                  ParallelFor* par) {
+void saveSnapshot(const std::string& path, const InitialConditions& ic) {
   // Write-to-tmp + rename: a crash mid-write must never leave a
   // truncated file at the final, loadable name. The rename at the end is
   // atomic on POSIX.
@@ -71,8 +68,8 @@ void saveSnapshot(const std::string& path, const InitialConditions& ic,
 
   // Convert in blocks and overlap each block's write with the conversion
   // of the next: the writer thread streams block k to disk while the main
-  // thread (plus `par`'s workers, when given) packs block k+1 into the
-  // other buffer. 64Ki records per block keeps both buffers at 4 MiB.
+  // thread packs block k+1 into the other buffer. 64Ki records per block
+  // keeps both buffers at 4 MiB.
   constexpr std::size_t kBlock = std::size_t{1} << 16;
   std::vector<Record> bufs[2];
   std::thread writer;
@@ -81,18 +78,8 @@ void saveSnapshot(const std::string& path, const InitialConditions& ic,
   for (std::size_t begin = 0, flip = 0; begin < n; begin += kBlock, flip ^= 1) {
     auto& recs = bufs[flip];
     recs.resize(std::min(kBlock, n - begin));
-    if (par != nullptr && par->ways() > 1) {
-      const int chunks = par->ways();
-      par->run(chunks, [&](int c) {
-        const auto r = decomp::chunkOf(recs.size(), chunks, c);
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          recs[i] = makeRecord(ic, begin + i);
-        }
-      });
-    } else {
-      for (std::size_t i = 0; i < recs.size(); ++i) {
-        recs[i] = makeRecord(ic, begin + i);
-      }
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      recs[i] = makeRecord(ic, begin + i);
     }
     if (writer.joinable()) writer.join();
     if (write_failed.load()) break;

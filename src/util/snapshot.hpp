@@ -19,13 +19,8 @@ namespace paratreet {
 /// naming the offender.
 ///
 /// saveSnapshot converts in chunks and overlaps each chunk's disk write
-/// with the conversion of the next. `par` (optional, e.g. a
-/// RuntimeParallelFor over the live ranks) additionally spreads the
-/// record conversion over worker tasks; nullptr converts serially (still
-/// overlapped with the writes).
-class ParallelFor;
-void saveSnapshot(const std::string& path, const InitialConditions& ic,
-                  ParallelFor* par = nullptr);
+/// with the conversion of the next.
+void saveSnapshot(const std::string& path, const InitialConditions& ic);
 InitialConditions loadSnapshot(const std::string& path);
 
 /// Strict physics-level validation for simulation inputs: rejects

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <map>
+#include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "apps/gravity/gravity.hpp"
 #include "core/driver.hpp"
@@ -194,6 +200,181 @@ TEST(Forest, IterationLoopIsStable) {
     forest.flush();
   }
 }
+
+TEST(ForestLoad, RejectsDuplicateOrder) {
+  rts::Runtime rt({1, 1});
+  Forest<CentroidData, OctTreeType> forest(rt, baseConfig());
+  auto ps = makeParticles(uniformCube(50, 131));
+  ps[17].order = 4;  // particle 4 already holds order 4
+  try {
+    forest.load(ps);
+    FAIL() << "duplicate order accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("particle 17 repeats order 4"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(forest.particleCount(), 0u);
+}
+
+TEST(ForestLoad, RejectsOutOfRangeOrder) {
+  rts::Runtime rt({1, 1});
+  Forest<CentroidData, OctTreeType> forest(rt, baseConfig());
+  for (const std::int32_t bad : {-1, 50, 1000}) {
+    auto ps = makeParticles(uniformCube(50, 137));
+    ps[9].order = bad;
+    try {
+      forest.load(ps);
+      FAIL() << "order " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("particle 9 has order " +
+                                           std::to_string(bad)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(forest.particleCount(), 0u);
+  // Any permutation of [0, n) is accepted.
+  auto ps = makeParticles(uniformCube(50, 139));
+  std::reverse(ps.begin(), ps.end());
+  EXPECT_NO_THROW(forest.load(ps));
+  EXPECT_EQ(forest.particleCount(), 50u);
+}
+
+template <typename T>
+bool sameBits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// Field-by-field bitwise equality (struct padding is not compared).
+bool sameParticle(const Particle& a, const Particle& b) {
+  return sameBits(a.position, b.position) &&
+         sameBits(a.velocity, b.velocity) && sameBits(a.mass, b.mass) &&
+         sameBits(a.ball_radius, b.ball_radius) && a.key == b.key &&
+         a.order == b.order && a.partition == b.partition &&
+         a.subtree == b.subtree &&
+         sameBits(a.acceleration, b.acceleration) &&
+         sameBits(a.potential, b.potential) &&
+         sameBits(a.density, b.density) &&
+         sameBits(a.pressure, b.pressure) &&
+         a.collision_partner == b.collision_partner &&
+         sameBits(a.collision_time, b.collision_time) &&
+         a.neighbor_count == b.neighbor_count && sameBits(a.ball2, b.ball2);
+}
+
+void expectSameParticles(const std::vector<Particle>& a,
+                         const std::vector<Particle>& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_TRUE(sameParticle(a[i], b[i]))
+        << what << ": particle " << i << " (order " << a[i].order << " vs "
+        << b[i].order << ")";
+  }
+}
+
+/// One Partition's buckets in a canonical order (leaf key, then first
+/// particle order): concurrent leaf sharing appends them in any order.
+template <typename Data>
+std::vector<const Bucket<Data>*> sortedBuckets(const Partition<Data>& part) {
+  std::vector<const Bucket<Data>*> out;
+  for (const auto& b : part.buckets) out.push_back(&b);
+  std::sort(out.begin(), out.end(), [](const auto* x, const auto* y) {
+    if (x->leaf_key != y->leaf_key) return x->leaf_key < y->leaf_key;
+    return x->particles.front().order < y->particles.front().order;
+  });
+  return out;
+}
+
+class ResidentStorageTest
+    : public ::testing::TestWithParam<std::tuple<DecompType, DecompImpl>> {};
+
+// flush() gathers into the resident particle array and decompose() refills
+// the resident Subtrees; every round must leave exactly the state a fresh
+// Forest loaded from the same particles reaches.
+TEST_P(ResidentStorageTest, EveryRoundMatchesAFreshForest) {
+  const auto [decomp, impl] = GetParam();
+  // Each decomposition over the tree it is consistent with (SFC over
+  // octrees).
+  const TreeType tree = decomp == DecompType::eKd        ? TreeType::eKd
+                        : decomp == DecompType::eLongest ? TreeType::eLongest
+                                                         : TreeType::eOct;
+  rts::Runtime rt({2, 2});
+  Configuration conf = baseConfig();
+  conf.decomp_type = decomp;
+  conf.tree_type = tree;
+  conf.decomp_impl = impl;
+
+  // Shuffled, so a particle's `order` differs from its index.
+  auto input = makeParticles(uniformCube(700, 149));
+  std::shuffle(input.begin(), input.end(), std::mt19937(151));
+
+  dispatchTreeType(tree, [&](auto tree_type) {
+    using TreeT = decltype(tree_type);
+    Forest<CentroidData, TreeT> resident(rt, conf);
+    resident.load(input);
+    resident.decompose();
+    for (int round = 0; round <= 3; ++round) {
+      SCOPED_TRACE("after " + std::to_string(round) + " flush(es)");
+      Forest<CentroidData, TreeT> fresh(rt, conf);
+      fresh.load(input);
+      fresh.decompose();
+
+      ASSERT_EQ(resident.numSubtrees(), fresh.numSubtrees());
+      for (int s = 0; s < fresh.numSubtrees(); ++s) {
+        const auto& a = resident.subtree(s);
+        const auto& b = fresh.subtree(s);
+        EXPECT_EQ(a.home_proc, b.home_proc);
+        EXPECT_EQ(a.region.key, b.region.key);
+        expectSameParticles(a.particles, b.particles,
+                            "subtree " + std::to_string(s));
+      }
+
+      resident.build();
+      fresh.build();
+      ASSERT_EQ(resident.numPartitions(), fresh.numPartitions());
+      for (int i = 0; i < fresh.numPartitions(); ++i) {
+        const auto a = sortedBuckets(resident.partition(i));
+        const auto b = sortedBuckets(fresh.partition(i));
+        ASSERT_EQ(a.size(), b.size()) << "partition " << i;
+        for (std::size_t k = 0; k < a.size(); ++k) {
+          EXPECT_EQ(a[k]->leaf_key, b[k]->leaf_key);
+          expectSameParticles(a[k]->particles, b[k]->particles,
+                              "partition " + std::to_string(i) + " bucket " +
+                                  std::to_string(k));
+        }
+      }
+      expectSameParticles(resident.collect(), fresh.collect(), "collect()");
+      if (round == 3) break;
+
+      // Drift far enough to cross piece boundaries, and leave outputs for
+      // the flush to clear.
+      resident.forEachParticle([](Particle& p) {
+        p.position.x += 0.03 * std::sin(1.7 * p.order);
+        p.position.y += 0.03 * std::cos(0.9 * p.order);
+        p.potential = 1.0;
+        p.collision_partner = 3;
+      });
+      input = resident.collect();
+      for (auto& p : input) {
+        p.potential = 0.0;
+        p.collision_partner = -1;
+      }
+      resident.flush();
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDecomps, ResidentStorageTest,
+    ::testing::Combine(::testing::Values(DecompType::eSfc, DecompType::eOct,
+                                         DecompType::eKd, DecompType::eLongest),
+                       ::testing::Values(DecompImpl::kHistogram,
+                                         DecompImpl::kSort)),
+    [](const auto& info) {
+      return toString(std::get<0>(info.param)) + "_" +
+             toString(std::get<1>(info.param));
+    });
 
 TEST(Forest, PhaseTimersAccumulate) {
   rts::Runtime rt({1, 1});

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "apps/gravity/gravity.hpp"
 #include "core/forest.hpp"
@@ -169,6 +172,89 @@ TEST(GravityVisitor, EmptyNodeNeverOpens) {
   CentroidData tdata;
   SpatialNode<CentroidData> tgt(tdata, box, keys::kRoot, 0, &dummy);
   EXPECT_FALSE(v.open(src, tgt));
+}
+
+/// The per-target multipole evaluation as it was before the node loop
+/// hoisted the centroid and quadrupole: both recomputed for every target.
+void perTargetGravApprox(const CentroidData& data, const Vec3& pos,
+                         const GravityParams& params, Vec3& accel,
+                         double& potential) {
+  const Vec3 dr = pos - data.centroid();
+  const double r2 = dr.lengthSquared() + params.softening * params.softening;
+  const double r = std::sqrt(r2);
+  const double inv_r3 = 1.0 / (r2 * r);
+  accel += (-params.G * data.sum_mass * inv_r3) * dr;
+  potential += -params.G * data.sum_mass / r;
+  if (params.use_quadrupole) {
+    const SymTensor3 q = data.quadrupole();
+    const Vec3 qd = q.mul(dr);
+    const double qrr = dr.dot(qd);
+    const double inv_r5 = inv_r3 / r2;
+    const double inv_r7 = inv_r5 / r2;
+    accel += params.G * (qd * inv_r5 - (2.5 * qrr * inv_r7) * dr);
+    potential += -params.G * 0.5 * qrr * inv_r5;
+  }
+}
+
+TEST(GravityVisitor, HoistedNodeKernelMatchesPerTargetBitwise) {
+  Rng rng(41);
+  auto bits = [](double v) {
+    std::uint64_t u;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+  };
+  for (const bool quad : {true, false}) {
+    GravityVisitor v;
+    v.params.use_quadrupole = quad;
+    v.params.softening = 1e-3;
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<Particle> src(1 + trial % 13);
+      for (auto& p : src) {
+        p.position = Vec3(rng.uniform(), rng.uniform(), rng.uniform());
+        p.mass = 0.1 + rng.uniform();
+      }
+      const CentroidData data(src.data(), static_cast<int>(src.size()));
+      std::vector<Particle> tgt(1 + trial % 17);
+      for (auto& p : tgt) {
+        p.position = Vec3(3 * rng.uniform() - 1, 3 * rng.uniform() - 1,
+                          3 * rng.uniform() - 1);
+        p.acceleration = Vec3(rng.uniform(), 0, 0);
+        p.potential = rng.uniform();
+      }
+      std::vector<Particle> want = tgt;
+      for (auto& p : want) {
+        Vec3 a{};
+        double phi = 0.0;
+        perTargetGravApprox(data, p.position, v.params, a, phi);
+        p.acceleration += a;
+        p.potential += phi;
+      }
+      const OrientedBox box{Vec3(0), Vec3(1)};
+      SpatialNode<CentroidData> source(data, box, keys::kRoot,
+                                       static_cast<int>(src.size()),
+                                       src.data());
+      CentroidData tdata;
+      SpatialNode<CentroidData> target(tdata, box, keys::kRoot,
+                                       static_cast<int>(tgt.size()),
+                                       tgt.data());
+      v.node(source, target);
+      for (std::size_t i = 0; i < tgt.size(); ++i) {
+        ASSERT_EQ(bits(tgt[i].acceleration.x), bits(want[i].acceleration.x));
+        ASSERT_EQ(bits(tgt[i].acceleration.y), bits(want[i].acceleration.y));
+        ASSERT_EQ(bits(tgt[i].acceleration.z), bits(want[i].acceleration.z));
+        ASSERT_EQ(bits(tgt[i].potential), bits(want[i].potential));
+      }
+      // The CentroidData overload is the same formula.
+      Vec3 a{}, ref_a{};
+      double phi = 0.0, ref_phi = 0.0;
+      gravApprox(data, tgt[0].position, v.params, a, phi);
+      perTargetGravApprox(data, tgt[0].position, v.params, ref_a, ref_phi);
+      ASSERT_EQ(bits(a.x), bits(ref_a.x));
+      ASSERT_EQ(bits(a.y), bits(ref_a.y));
+      ASSERT_EQ(bits(a.z), bits(ref_a.z));
+      ASSERT_EQ(bits(phi), bits(ref_phi));
+    }
+  }
 }
 
 class BarnesHutAccuracyTest : public ::testing::TestWithParam<double> {};

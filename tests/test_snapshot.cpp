@@ -210,33 +210,6 @@ TEST(Snapshot, DriverRejectsInvalidInputFile) {
   std::remove(path.c_str());
 }
 
-TEST(Snapshot, ParallelSaveMatchesSerialByteForByte) {
-  // 70k particles spans two of saveSnapshot's 64Ki-record write blocks,
-  // so this exercises the double-buffered writer handoff and the chunked
-  // worker-runtime conversion; the output must be byte-identical to the
-  // serial path.
-  const auto ic = uniformCube(70000, 5);
-  const std::string serial_path = tempPath("serial_save.ptreet");
-  const std::string parallel_path = tempPath("parallel_save.ptreet");
-  saveSnapshot(serial_path, ic);
-  {
-    rts::Runtime rt({2, 2});
-    RuntimeParallelFor par(rt, rt.liveProcs());
-    saveSnapshot(parallel_path, ic, &par);
-  }
-  auto readAll = [](const std::string& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
-  const std::string serial_bytes = readAll(serial_path);
-  const std::string parallel_bytes = readAll(parallel_path);
-  EXPECT_FALSE(serial_bytes.empty());
-  EXPECT_EQ(serial_bytes, parallel_bytes);
-  std::remove(serial_path.c_str());
-  std::remove(parallel_path.c_str());
-}
-
 TEST(Snapshot, OutputParticleAccelerations) {
   rts::Runtime rt({2, 1});
   Configuration conf;
