@@ -1,16 +1,15 @@
-// Decomposition microbench: the serial full-sort decomposition pipeline
-// (--decomp-impl=sort) against the parallel histogram pipeline
-// (--decomp-impl=histogram) across worker counts, timed through the
-// Forest's own decompose phase (box reduction + key assignment +
-// splitter finding + scatter). Results go to BENCH_decomp.json
-// (override with --out=<path>).
+// Decomposition microbench: the parallel decomposition pipeline across
+// worker counts, timed through the Forest's own decompose phase (box
+// reduction + key assignment + splitter finding + scatter). Results go
+// to BENCH_decomp.json (override with --out=<path>).
 //
-// Every partition decomposition type is swept (the Subtrees stay
-// octree). The serial sort path is worker-count independent (it runs on
-// the caller), so it is measured once at 1 worker as the baseline; the
-// histogram path is swept over {1, 2, 4, 8} workers. The two paths are
-// also cross-checked for *identical* per-particle partition and subtree
-// assignment — the bench exits nonzero on any divergence, so a perf run
+// Every partition decomposition type is swept over {1, 2, 4, 8}
+// workers (the Subtrees stay octree), and each point reports its
+// speedup over the same type at 1 worker. Every run's per-particle
+// (partition, subtree) assignment is also checked against the oracle:
+// the serial findSplitters() reference of the same decomposition for
+// the Partitions and of eOct for the Subtrees, run on a keyed copy of
+// the input. The bench exits nonzero on any divergence, so a perf run
 // doubles as an equivalence gate.
 
 #include <cstdio>
@@ -30,33 +29,34 @@ using namespace paratreet;
 
 namespace {
 
+/// Per-particle (partition, subtree) assignment, indexed by order.
+using Assignment = std::vector<std::pair<int, int>>;
+
 struct CaseResult {
   std::string decomp;     ///< partition decomposition type name
-  std::string impl;       ///< "sort" or "histogram"
   int workers = 1;        ///< total worker threads (procs x workers_per_proc)
   double decompose_s = 0.0;
-  double speedup = 1.0;   ///< serial-sort time / this time, same decomp type
+  double speedup = 1.0;   ///< 1-worker time / this time, same decomp type
 };
 
-Configuration makeConfig(DecompType type, DecompImpl impl) {
+Configuration makeConfig(DecompType type) {
   Configuration conf;
   conf.tree_type = TreeType::eOct;
   conf.decomp_type = type;
-  conf.decomp_impl = impl;
   // Fixed piece counts across the sweep: the worker count scales the
   // executor, never the problem, so the series is a clean scaling curve
-  // and every point is assignment-comparable to the serial baseline.
+  // and every point is assignment-comparable to the oracle.
   conf.min_partitions = 32;
   conf.min_subtrees = 8;
   conf.bucket_size = 16;
   return conf;
 }
 
-/// Per-particle (partition, subtree) assignment keyed by order, gathered
-/// from the scattered Subtree buckets after decompose().
-std::vector<std::pair<int, int>> assignments(
-    Forest<CentroidData, OctTreeType>& forest, std::size_t n) {
-  std::vector<std::pair<int, int>> out(n, {-1, -1});
+/// Assignment gathered from the scattered Subtree buckets after
+/// decompose().
+Assignment assignments(Forest<CentroidData, OctTreeType>& forest,
+                       std::size_t n) {
+  Assignment out(n, {-1, -1});
   for (int s = 0; s < forest.numSubtrees(); ++s) {
     for (const auto& p : forest.subtree(s).particles) {
       out[static_cast<std::size_t>(p.order)] = {p.partition, p.subtree};
@@ -65,14 +65,31 @@ std::vector<std::pair<int, int>> assignments(
   return out;
 }
 
-/// Best-of-`reps` decompose seconds for one (type, impl, procs) point;
-/// also returns the assignment for cross-checking.
-double runCase(DecompType type, DecompImpl impl, int procs,
-               const std::vector<Particle>& base, int reps,
-               std::vector<std::pair<int, int>>& assign_out) {
+/// The oracle: the serial findSplitters() reference over a copy of
+/// `base` keyed in the Forest's `universe`.
+Assignment oracleAssignments(DecompType type, std::vector<Particle> ps,
+                             const OrientedBox& universe) {
+  const Configuration conf = makeConfig(type);
+  assignKeys(ps, universe);
+  makeDecomposition(type)->findSplitters(std::span<Particle>(ps), universe,
+                                         conf.min_partitions,
+                                         Decomposition::Target::kPartition);
+  makeDecomposition(DecompType::eOct)
+      ->findSplitters(std::span<Particle>(ps), universe, conf.min_subtrees,
+                      Decomposition::Target::kSubtree);
+  Assignment out(ps.size(), {-1, -1});
+  for (const auto& p : ps) {
+    out[static_cast<std::size_t>(p.order)] = {p.partition, p.subtree};
+  }
+  return out;
+}
+
+/// Best-of-`reps` decompose seconds for one (type, procs) point; the
+/// last run's assignment and universe are returned for the oracle check.
+double runCase(DecompType type, int procs, const std::vector<Particle>& base,
+               int reps, Assignment& assign_out, OrientedBox& universe_out) {
   rts::Runtime rt({procs, 1});
-  Configuration conf = makeConfig(type, impl);
-  Forest<CentroidData, OctTreeType> forest(rt, conf);
+  Forest<CentroidData, OctTreeType> forest(rt, makeConfig(type));
   forest.load(base);
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
@@ -81,6 +98,7 @@ double runCase(DecompType type, DecompImpl impl, int procs,
     best = std::min(best, timer.seconds());
   }
   assign_out = assignments(forest, base.size());
+  universe_out = forest.universe();
   return best;
 }
 
@@ -97,10 +115,10 @@ void writeJson(const std::string& path, std::size_t n, int reps,
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const CaseResult& c = cases[i];
     std::fprintf(f,
-                 "    {\"decomp\": \"%s\", \"impl\": \"%s\", \"workers\": %d, "
-                 "\"decompose_s\": %.6f, \"speedup_vs_serial_sort\": %.3f}%s\n",
-                 c.decomp.c_str(), c.impl.c_str(), c.workers, c.decompose_s,
-                 c.speedup, i + 1 < cases.size() ? "," : "");
+                 "    {\"decomp\": \"%s\", \"workers\": %d, "
+                 "\"decompose_s\": %.6f, \"speedup_vs_1_worker\": %.3f}%s\n",
+                 c.decomp.c_str(), c.workers, c.decompose_s, c.speedup,
+                 i + 1 < cases.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -117,7 +135,7 @@ int main(int argc, char** argv) {
   const std::vector<int> worker_counts{1, 2, 4, 8};
 
   bench::printHeader("Decomposition",
-                     "serial full-sort vs parallel histogram pipeline");
+                     "parallel pipeline across worker counts");
   std::printf("dataset: %zu Plummer particles, best of %d reps\n\n", n, reps);
 
   const auto base = makeParticles(plummer(n, 99));
@@ -126,36 +144,29 @@ int main(int argc, char** argv) {
 
   for (auto type : {DecompType::eSfc, DecompType::eOct, DecompType::eKd,
                     DecompType::eLongest}) {
-    std::vector<std::pair<int, int>> sort_assign;
-    CaseResult sort_case;
-    sort_case.decomp = toString(type);
-    sort_case.impl = toString(DecompImpl::kSort);
-    sort_case.workers = 1;
-    sort_case.decompose_s = runCase(type, DecompImpl::kSort, 1, base, reps,
-                                    sort_assign);
-    cases.push_back(sort_case);
-
     std::printf("%s:\n", toString(type).c_str());
-    bench::printBar("sort (serial)", sort_case.decompose_s * 1e3,
-                    sort_case.decompose_s * 1e3, "ms");
+    double one_worker_s = 0.0;
+    Assignment oracle;
     for (const int workers : worker_counts) {
-      std::vector<std::pair<int, int>> hist_assign;
+      Assignment assign;
+      OrientedBox universe;
       CaseResult c;
       c.decomp = toString(type);
-      c.impl = toString(DecompImpl::kHistogram);
       c.workers = workers;
-      c.decompose_s = runCase(type, DecompImpl::kHistogram, workers, base,
-                              reps, hist_assign);
-      c.speedup = sort_case.decompose_s / c.decompose_s;
+      c.decompose_s = runCase(type, workers, base, reps, assign, universe);
+      if (workers == 1) one_worker_s = c.decompose_s;
+      c.speedup = one_worker_s / c.decompose_s;
       cases.push_back(c);
-      bench::printBar("histogram w=" + std::to_string(workers),
-                      c.decompose_s * 1e3, sort_case.decompose_s * 1e3, "ms");
+      bench::printBar("w=" + std::to_string(workers), c.decompose_s * 1e3,
+                      one_worker_s * 1e3, "ms");
       // Equivalence gate: the per-particle check nails the assignment
-      // bit-for-bit at every worker count.
-      if (hist_assign != sort_assign) {
+      // bit-for-bit at every worker count. The universe is the same
+      // bounding box at every worker count, so one oracle run serves all.
+      if (oracle.empty()) oracle = oracleAssignments(type, base, universe);
+      if (assign != oracle) {
         std::fprintf(stderr,
-                     "FAIL: %s histogram (w=%d) assignment differs from "
-                     "sort\n",
+                     "FAIL: %s (w=%d) assignment differs from the serial "
+                     "findSplitters() oracle\n",
                      toString(type).c_str(), workers);
         match = false;
       }

@@ -9,11 +9,14 @@
 // *shapes* (who wins, by what factor, where crossovers happen) are the
 // reproduction targets recorded in EXPERIMENTS.md.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "core/config.hpp"
@@ -40,7 +43,6 @@ namespace paratreet::bench {
 ///                     --wedge-at-step=N --recovery-mode=restart|shrink
 ///                     --drain-deadline-ms=T --max-restarts=N
 ///   kernel()          --kernel=visitor|batched
-///   decompImpl()      --decomp-impl=sort|histogram
 ///   transport()       --transport=inproc|tcp --tcp-host=<ip> --tcp-port=<n>
 ///                     --heartbeat-ms=T --miss-threshold=N
 class ArgParser {
@@ -64,6 +66,23 @@ class ArgParser {
     }
     argc_ = kept;
     return found;
+  }
+
+  /// flag() for a numeric value, parsed into `out` (an integer or
+  /// floating-point type). The whole value must parse: "12x", "", "abc"
+  /// and out-of-range values exit(2) with a usage message. True when the
+  /// flag was present; `out` is untouched otherwise.
+  template <typename T>
+  bool numberFlag(std::string_view name, T& out) {
+    std::string value;
+    if (!flag(name, value)) return false;
+    const char* last = value.data() + value.size();
+    const auto [end, ec] = std::from_chars(value.data(), last, out);
+    if (ec != std::errc{} || end != last) {
+      usageError(std::string(name).c_str(),
+                 std::is_integral_v<T> ? "an integer" : "a number", value);
+    }
+    return true;
   }
 
   /// Strip every occurrence of the bare flag `--<name>` (no '=value');
@@ -107,23 +126,15 @@ class ArgParser {
   /// delivery surfaces as a thrown diagnostic instead of a hung bench.
   rts::FaultConfig chaos() {
     rts::FaultConfig fault;
-    std::string value;
-    if (flag("--chaos-seed=", value)) {
+    if (numberFlag("--chaos-seed=", fault.seed)) {
       fault.enabled = true;
-      fault.seed = std::strtoull(value.c_str(), nullptr, 10);
       fault.drop_p = 0.1;
       fault.duplicate_p = 0.05;
       fault.delay_p = 0.1;
       fault.reorder_p = 0.05;
     }
-    if (flag("--fault-drop=", value)) {
-      fault.enabled = true;
-      fault.drop_p = std::strtod(value.c_str(), nullptr);
-    }
-    if (flag("--fault-corrupt=", value)) {
-      fault.enabled = true;
-      fault.corrupt_p = std::strtod(value.c_str(), nullptr);
-    }
+    if (numberFlag("--fault-drop=", fault.drop_p)) fault.enabled = true;
+    if (numberFlag("--fault-corrupt=", fault.corrupt_p)) fault.enabled = true;
     if (fault.enabled) fault.drain_deadline_ms = 30000.0;
     return fault;
   }
@@ -189,37 +200,23 @@ class ArgParser {
   /// fault lands.
   void checkpointInto(Configuration& conf) {
     std::string value;
-    if (flag("--checkpoint-every=", value)) {
-      conf.checkpoint_every = std::atoi(value.c_str());
-    }
+    numberFlag("--checkpoint-every=", conf.checkpoint_every);
     if (flag("--checkpoint-dir=", value)) conf.checkpoint_dir = value;
-    if (flag("--checkpoint-keep=", value)) {
-      // Out-of-range values (e.g. 0) are rejected later by
-      // Configuration::validate(), with the field named.
-      conf.checkpoint_keep = std::atoi(value.c_str());
-    }
+    // Out-of-range values (e.g. 0) are rejected later by
+    // Configuration::validate(), with the field named.
+    numberFlag("--checkpoint-keep=", conf.checkpoint_keep);
     if (boolFlag("--resume")) conf.resume = true;
     if (boolFlag("--fault-torn-write")) conf.fault.torn_write = true;
-    if (flag("--crash-at-step=", value)) {
-      conf.fault.crash_step = std::atoi(value.c_str());
-    }
-    if (flag("--wedge-at-step=", value)) {
-      conf.fault.wedge_step = std::atoi(value.c_str());
-    }
-    if (flag("--drain-deadline-ms=", value)) {
-      conf.fault.drain_deadline_ms = std::strtod(value.c_str(), nullptr);
-    }
-    if (flag("--fetch-depth=", value)) {
-      conf.fetch_depth = std::atoi(value.c_str());
-    }
+    numberFlag("--crash-at-step=", conf.fault.crash_step);
+    numberFlag("--wedge-at-step=", conf.fault.wedge_step);
+    numberFlag("--drain-deadline-ms=", conf.fault.drain_deadline_ms);
+    numberFlag("--fetch-depth=", conf.fetch_depth);
     if (flag("--recovery-mode=", value)) {
       if (!fromString(value, conf.recovery_mode)) {
         usageError("--recovery-mode=", "'restart' or 'shrink'", value);
       }
     }
-    if (flag("--max-restarts=", value)) {
-      conf.recovery.max_restarts_per_rank = std::atoi(value.c_str());
-    }
+    numberFlag("--max-restarts=", conf.recovery.max_restarts_per_rank);
   }
 
   /// `--kernel=visitor|batched`: the selected evaluation kernel
@@ -231,20 +228,6 @@ class ArgParser {
     if (value == "visitor") return EvalKernel::kVisitor;
     if (value == "batched") return EvalKernel::kBatched;
     usageError("--kernel=", "'visitor' or 'batched'", value);
-  }
-
-  /// `--decomp-impl=sort|histogram`: the selected decomposition
-  /// implementation (default: the parallel histogram pipeline). "sort"
-  /// selects the serial full-sort reference path kept for A/B
-  /// validation; both produce identical piece assignments.
-  DecompImpl decompImpl() {
-    std::string value;
-    if (!flag("--decomp-impl=", value)) return DecompImpl::kHistogram;
-    DecompImpl impl;
-    if (!fromString(value, impl)) {
-      usageError("--decomp-impl=", "'sort' or 'histogram'", value);
-    }
-    return impl;
   }
 
   /// The transport flags (README "Running ranks as processes"):
@@ -275,13 +258,9 @@ class ArgParser {
       }
     }
     if (flag("--tcp-host=", value)) t.host = value;
-    if (flag("--tcp-port=", value)) t.port = std::atoi(value.c_str());
-    if (flag("--heartbeat-ms=", value)) {
-      t.heartbeat_interval_ms = std::strtod(value.c_str(), nullptr);
-    }
-    if (flag("--miss-threshold=", value)) {
-      t.miss_threshold = std::atoi(value.c_str());
-    }
+    numberFlag("--tcp-port=", t.port);
+    numberFlag("--heartbeat-ms=", t.heartbeat_interval_ms);
+    numberFlag("--miss-threshold=", t.miss_threshold);
     return t;
   }
 

@@ -123,16 +123,15 @@ int main(int argc, char** argv) {
   cli.transport = args.transport();
   std::string final_out;
   args.flag("--final-out=", final_out);
-  std::string shape;
   int subtrees = 8, partitions = 16, bucket = 12;
-  if (args.flag("--subtrees=", shape)) subtrees = std::atoi(shape.c_str());
-  if (args.flag("--partitions=", shape)) partitions = std::atoi(shape.c_str());
-  if (args.flag("--bucket-size=", shape)) bucket = std::atoi(shape.c_str());
+  args.numberFlag("--subtrees=", subtrees);
+  args.numberFlag("--partitions=", partitions);
+  args.numberFlag("--bucket-size=", bucket);
   // Initial-conditions seed: different seeds give different Plummer
   // realizations (and different compatibility hashes, so a --resume
   // against checkpoints from another seed is rejected).
   std::uint64_t ic_seed = 1;
-  if (args.flag("--seed=", shape)) ic_seed = std::strtoull(shape.c_str(), nullptr, 10);
+  args.numberFlag("--seed=", ic_seed);
   if (cli.fault.wedge_step >= 0 && cli.transport.heartbeat_interval_ms <= 0.0) {
     // A wedged rank never EOFs; only heartbeats can notice it. Default
     // them on so the demo recovers instead of riding the 30 s watchdog

@@ -8,10 +8,9 @@
 //
 // Usage: quickstart [n_particles] [n_procs] [workers_per_proc]
 //                    [--metrics-out=<file>] [--chaos-seed=<n>]
-//                    [--fault-drop=<p>] [--decomp-impl=sort|histogram]
-//                    [--transport=inproc|tcp] [--checkpoint-every=K]
-//                    [--checkpoint-dir=<path>] [--checkpoint-keep=K]
-//                    [--resume] [--fault-torn-write]
+//                    [--fault-drop=<p>] [--transport=inproc|tcp]
+//                    [--checkpoint-every=K] [--checkpoint-dir=<path>]
+//                    [--checkpoint-keep=K] [--resume] [--fault-torn-write]
 //
 // --metrics-out enables the observability layer (metrics registry, trace
 // buffer, activity profiler) and writes its JSON report to <file>
@@ -102,7 +101,6 @@ int main(int argc, char** argv) {
   const std::string metrics_out = args.metricsOut();
   const bool metrics_enabled = !metrics_out.empty();
   const rts::FaultConfig fault = args.chaos();
-  const DecompImpl decomp_impl = args.decompImpl();
   const rts::TransportConfig transport = args.transport();
   // The shared checkpoint/resume flags parse here too, so every bundled
   // binary speaks one CLI; this Forest-direct example doesn't run the
@@ -128,7 +126,6 @@ int main(int argc, char** argv) {
   conf.min_partitions = 4 * procs * workers;
   conf.min_subtrees = 2 * procs;
   conf.bucket_size = 12;
-  conf.decomp_impl = decomp_impl;
   conf.fault = fault;
   conf.checkpoint_every = ckpt_flags.checkpoint_every;
   conf.checkpoint_dir = ckpt_flags.checkpoint_dir;

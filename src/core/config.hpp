@@ -102,16 +102,6 @@ struct Configuration {
   // --- structure -----------------------------------------------------------
   TreeType tree_type = TreeType::eOct;
   DecompType decomp_type = DecompType::eSfc;
-  /// How splitter finding runs: kHistogram (default) chunks the counting
-  /// passes over the worker runtime (the ChaNGa-inherited scheme);
-  /// kSort is the serial full-sort reference path for A/B validation.
-  /// Both produce identical piece assignments.
-  DecompImpl decomp_impl = DecompImpl::kHistogram;
-  /// Candidate splitter values probed per unresolved splitter per
-  /// histogram refinement round (>= 1); more probes means fewer counting
-  /// passes at larger per-pass histograms. Only the key-based
-  /// decompositions (eSfc, eOct) probe; binary splits select exactly.
-  int splitter_probes = 15;
   /// Minimum numbers of chares; actual counts may exceed (eOct rounding).
   int min_partitions = 8;
   int min_subtrees = 8;

@@ -28,21 +28,6 @@ bool fromString(const std::string& s, DecompType& out) {
   return true;
 }
 
-std::string toString(DecompImpl i) {
-  switch (i) {
-    case DecompImpl::kSort: return "sort";
-    case DecompImpl::kHistogram: return "histogram";
-  }
-  return "?";
-}
-
-bool fromString(const std::string& s, DecompImpl& out) {
-  if (s == "sort") out = DecompImpl::kSort;
-  else if (s == "histogram") out = DecompImpl::kHistogram;
-  else return false;
-  return true;
-}
-
 namespace decomp {
 
 // Sorting the 8-byte scratch instead of the wide Particle structs is
@@ -76,15 +61,20 @@ std::size_t SortedKeyScratch::cntBelow(std::uint64_t s) const {
 
 namespace {
 
+/// Candidate splitter values probed per unresolved splitter per
+/// refinement round: more probes means fewer rounds over the key space
+/// (~16 here) at wider per-round histograms.
+constexpr std::uint64_t kSplitterProbes = 15;
+
 /// Probe values for one refinement round of a bracket [lo, hi): up to
-/// `probes` values strictly inside, evenly spaced; when few candidates
-/// remain every interior value is probed, so the bracket resolves. The
-/// values are exactly lo + floor(span*q/(m+1)) computed overflow-free.
-void appendProbes(std::uint64_t lo, std::uint64_t hi, int probes,
+/// kSplitterProbes values strictly inside, evenly spaced; when few
+/// candidates remain every interior value is probed, so the bracket
+/// resolves. The values are exactly lo + floor(span*q/(m+1)) computed
+/// overflow-free.
+void appendProbes(std::uint64_t lo, std::uint64_t hi,
                   std::vector<std::uint64_t>& out) {
   const std::uint64_t span = hi - lo;
-  const auto m = std::min<std::uint64_t>(static_cast<std::uint64_t>(probes),
-                                         span - 1);
+  const auto m = std::min<std::uint64_t>(kSplitterProbes, span - 1);
   const std::uint64_t step = span / (m + 1), rem = span % (m + 1);
   for (std::uint64_t q = 1; q <= m; ++q) {
     out.push_back(lo + step * q + rem * q / (m + 1));
@@ -120,9 +110,9 @@ int SfcDecomposition::findSplitters(std::span<Particle> particles,
 
 int SfcDecomposition::findSplittersHistogram(
     std::span<Particle> particles, const OrientedBox& /*universe*/,
-    int n_pieces, Target target, ParallelFor& par, int probes,
+    int n_pieces, Target target, ParallelFor& par,
     const decomp::SortedKeyScratch* scratch) {
-  assert(n_pieces > 0 && probes >= 1);
+  assert(n_pieces > 0);
   const std::size_t n = particles.size();
   const int chunks = std::max(1, par.ways());
   std::optional<decomp::SortedKeyScratch> own;
@@ -145,7 +135,7 @@ int SfcDecomposition::findSplittersHistogram(
     std::uint64_t lo = 0, hi = std::uint64_t{1} << keys::kMortonBits;
     while (hi - lo > 1) {
       probe_buf.clear();
-      appendProbes(lo, hi, probes, probe_buf);
+      appendProbes(lo, hi, probe_buf);
       // Probes ascend, so lo ratchets up to the last undershooting value
       // and hi snaps to the first value meeting the target.
       for (const std::uint64_t v : probe_buf) {
@@ -259,8 +249,7 @@ int OctDecomposition::findSplitters(std::span<Particle> particles,
 
 int OctDecomposition::findSplittersHistogram(
     std::span<Particle> particles, const OrientedBox& universe, int n_pieces,
-    Target target, ParallelFor& par, int /*probes*/,
-    const decomp::SortedKeyScratch* scratch) {
+    Target target, ParallelFor& par, const decomp::SortedKeyScratch* scratch) {
   assert(n_pieces > 0);
   const std::size_t n = particles.size();
   const int chunks = std::max(1, par.ways());
@@ -436,7 +425,7 @@ int BinarySplitDecomposition::splitRecursive(std::span<Particle> particles,
 
 int BinarySplitDecomposition::findSplittersHistogram(
     std::span<Particle> particles, const OrientedBox& universe, int n_pieces,
-    Target target, ParallelFor& par, int /*probes*/,
+    Target target, ParallelFor& par,
     const decomp::SortedKeyScratch* /*scratch*/) {
   assert(n_pieces > 0);
   const std::size_t n = particles.size();

@@ -27,20 +27,6 @@ std::string toString(DecompType t);
 /// Parse the toString() spelling (case-sensitive); false on unknown input.
 bool fromString(const std::string& s, DecompType& out);
 
-/// How splitter finding is executed (Configuration::decomp_impl).
-enum class DecompImpl {
-  kSort,       ///< full std::sort per decomposition target — the serial
-               ///< reference path, kept for A/B validation
-  kHistogram,  ///< parallel path: iterative histogramming over candidate
-               ///< splitters for key-based types (the paper's
-               ///< ChaNGa-inherited scheme), exact per-region plane
-               ///< selection for binary splits; piece assignments are
-               ///< identical to the sort path's
-};
-
-std::string toString(DecompImpl i);
-bool fromString(const std::string& s, DecompImpl& out);
-
 /// Executor handed to the parallel-histogram decomposition path: run a
 /// batch of independent closures to completion, possibly concurrently.
 /// ways() is the preferred fan-out — counting passes split their input
@@ -118,10 +104,16 @@ struct SubtreeRegion {
 
 /// Base interface for decompositions, mirroring the paper's user-facing
 /// `findSplitters()` customization point. A Decomposition is used in two
-/// steps: findSplitters() computes splitters from the full particle set
+/// steps: a splitter call computes splitters from the full particle set
 /// and writes each particle's piece id via `assign`; afterwards pieceOf()
 /// maps any (possibly new) particle to its piece, used when particles
 /// drift across boundaries between flushes.
+///
+/// There are two splitter calls with bit-identical results.
+/// findSplittersHistogram() is the parallel pipeline Forest::decompose()
+/// runs. findSplitters() is the serial sort-based reference: production
+/// never calls it, and the tests and bench_decomp use it as the oracle
+/// the parallel pipeline must match.
 class Decomposition {
  public:
   virtual ~Decomposition() = default;
@@ -129,10 +121,10 @@ class Decomposition {
   /// Which field of Particle the assignment is written to.
   enum class Target { kPartition, kSubtree };
 
-  /// Compute splitters over `particles` for (at least) `n_pieces` pieces
-  /// and store each particle's piece id in the field selected by
-  /// `target`. May reorder `particles`. Returns the number of pieces
-  /// actually created (eOct can exceed the request).
+  /// Reference path: serially compute splitters over `particles` for (at
+  /// least) `n_pieces` pieces and store each particle's piece id in the
+  /// field selected by `target`. May reorder `particles`. Returns the
+  /// number of pieces actually created (eOct can exceed the request).
   virtual int findSplitters(std::span<Particle> particles,
                             const OrientedBox& universe, int n_pieces,
                             Target target) = 0;
@@ -141,21 +133,20 @@ class Decomposition {
   /// are bit-identical — without a global sort of `particles`, which is
   /// never reordered; work fans out through `par`. Key-based
   /// decompositions (eSfc, eOct) histogram candidate splitters over a
-  /// SortedKeyScratch: `probes` is the number of candidate values probed
-  /// per unresolved splitter per refinement round (>= 1; more probes
-  /// means fewer rounds), and a prebuilt `scratch` can be shared across
-  /// calls on the same keyed particle set (built internally when null).
-  /// Binary splits (eKd, eLongest) select each plane exactly over a
-  /// compact coordinate copy and ignore both `probes` and `scratch`.
+  /// SortedKeyScratch (the paper's ChaNGa-inherited scheme); a prebuilt
+  /// `scratch` can be shared across calls on the same keyed particle set
+  /// (built internally when null). Binary splits (eKd, eLongest) select
+  /// each plane exactly over a compact coordinate copy and ignore
+  /// `scratch`.
   virtual int findSplittersHistogram(
       std::span<Particle> particles, const OrientedBox& universe, int n_pieces,
-      Target target, ParallelFor& par, int probes,
+      Target target, ParallelFor& par,
       const decomp::SortedKeyScratch* scratch = nullptr) = 0;
 
-  /// Piece of a particle, valid after findSplitters().
+  /// Piece of a particle, valid after a splitter call.
   virtual int pieceOf(const Particle& p) const = 0;
 
-  /// Regions of the pieces (valid after findSplitters()); tree-consistent
+  /// Regions of the pieces (valid after a splitter call); tree-consistent
   /// decompositions return one region per piece, eSfc returns {}.
   virtual std::vector<SubtreeRegion> regions() const { return {}; }
 
@@ -184,7 +175,7 @@ class SfcDecomposition final : public Decomposition {
                     int n_pieces, Target target) override;
   int findSplittersHistogram(
       std::span<Particle> particles, const OrientedBox& universe, int n_pieces,
-      Target target, ParallelFor& par, int probes,
+      Target target, ParallelFor& par,
       const decomp::SortedKeyScratch* scratch = nullptr) override;
   int pieceOf(const Particle& p) const override;
   DecompType type() const override { return DecompType::eSfc; }
@@ -207,7 +198,7 @@ class OctDecomposition final : public Decomposition {
                     int n_pieces, Target target) override;
   int findSplittersHistogram(
       std::span<Particle> particles, const OrientedBox& universe, int n_pieces,
-      Target target, ParallelFor& par, int probes,
+      Target target, ParallelFor& par,
       const decomp::SortedKeyScratch* scratch = nullptr) override;
   int pieceOf(const Particle& p) const override;
   std::vector<SubtreeRegion> regions() const override { return regions_; }
@@ -249,7 +240,7 @@ class BinarySplitDecomposition : public Decomposition {
                     int n_pieces, Target target) override;
   int findSplittersHistogram(
       std::span<Particle> particles, const OrientedBox& universe, int n_pieces,
-      Target target, ParallelFor& par, int probes,
+      Target target, ParallelFor& par,
       const decomp::SortedKeyScratch* scratch = nullptr) override;
   int pieceOf(const Particle& p) const override;
   std::vector<SubtreeRegion> regions() const override { return regions_; }

@@ -99,7 +99,7 @@ void expectHistogramMatchesSort(const std::vector<Particle>& base,
   auto hist_decomp = makeDecomposition(type);
   const int n_hist = hist_decomp->findSplittersHistogram(
       std::span<Particle>(hist), universe, n_pieces,
-      Decomposition::Target::kPartition, par, 15);
+      Decomposition::Target::kPartition, par);
 
   ASSERT_EQ(n_sort, n_hist);
   const auto want = assignmentByOrder(sorted);
@@ -142,27 +142,6 @@ INSTANTIATE_TEST_SUITE_P(
              inputName(std::get<2>(info.param));
     });
 
-// The probe count only trades counting passes for histogram width; the
-// result must not depend on it. probes=1 is pure bisection (~63 rounds
-// over the key space), exercising the refinement loop deepest.
-TEST(DecompParallel, ProbeCountDoesNotChangeTheResult) {
-  OrientedBox universe;
-  const auto base = makeTestParticles(makeInput(Input::kDuplicateKeys),
-                                      universe);
-  SerialFor par;
-  std::vector<int> reference;
-  for (const int probes : {1, 3, 15, 64}) {
-    auto ps = base;
-    SfcDecomposition decomp;
-    decomp.findSplittersHistogram(std::span<Particle>(ps), universe, 7,
-                                  Decomposition::Target::kPartition, par,
-                                  probes);
-    const auto got = assignmentByOrder(ps);
-    if (reference.empty()) reference = got;
-    EXPECT_EQ(got, reference) << "probes=" << probes;
-  }
-}
-
 // SerialFor (the runtime-less executor) and the runtime-backed executor
 // must agree — chunking is by executor width, so this also crosses
 // different chunk counts.
@@ -175,14 +154,14 @@ TEST(DecompParallel, SerialForMatchesRuntimeExecutor) {
     auto a = base;
     auto da = makeDecomposition(type);
     da->findSplittersHistogram(std::span<Particle>(a), universe, 5,
-                               Decomposition::Target::kPartition, serial, 15);
+                               Decomposition::Target::kPartition, serial);
 
     rts::Runtime rt({3, 2});
     RuntimeParallelFor par(rt, rt.liveProcs());
     auto b = base;
     auto db = makeDecomposition(type);
     db->findSplittersHistogram(std::span<Particle>(b), universe, 5,
-                               Decomposition::Target::kPartition, par, 15);
+                               Decomposition::Target::kPartition, par);
     EXPECT_EQ(assignmentByOrder(a), assignmentByOrder(b))
         << toString(type);
   }
@@ -209,7 +188,7 @@ TEST(DecompParallel, DegenerateInputs) {
       auto dh = makeDecomposition(type);
       const int n_hist = dh->findSplittersHistogram(
           std::span<Particle>(hist), universe, 8,
-          Decomposition::Target::kPartition, par, 15);
+          Decomposition::Target::kPartition, par);
       EXPECT_EQ(n_sort, n_hist) << toString(type) << " n=" << n;
       EXPECT_EQ(assignmentByOrder(sorted), assignmentByOrder(hist))
           << toString(type) << " n=" << n;
@@ -262,7 +241,7 @@ TEST(DecompParallel, BinarySplitSignedZerosAtThePlane) {
     auto ps = base;
     auto d = makeDecomposition(type);
     d->findSplittersHistogram(std::span<Particle>(ps), universe, 2,
-                              Decomposition::Target::kPartition, par, 15);
+                              Decomposition::Target::kPartition, par);
     EXPECT_EQ(d->regions()[0].box.greater_corner.x, 0.0);  // plane is +-0
   });
 }
@@ -283,7 +262,7 @@ TEST(DecompParallel, BinarySplitAllTiesOnTheSplitAxis) {
     auto ps = base;
     auto d = makeDecomposition(type);
     d->findSplittersHistogram(std::span<Particle>(ps), universe, 2,
-                              Decomposition::Target::kPartition, par, 15);
+                              Decomposition::Target::kPartition, par);
     EXPECT_EQ(d->regions()[0].count, 0u);
     EXPECT_EQ(d->regions()[0].box.greater_corner.x, 0.5);
   });
@@ -299,17 +278,6 @@ TEST(DecompParallel, BinarySplitMorePiecesThanParticles) {
       expectHistogramMatchesSort(base, universe, type, pieces, par);
     }
   });
-}
-
-TEST(DecompParallel, DecompImplStrings) {
-  EXPECT_EQ(toString(DecompImpl::kSort), "sort");
-  EXPECT_EQ(toString(DecompImpl::kHistogram), "histogram");
-  DecompImpl impl;
-  EXPECT_TRUE(fromString("sort", impl));
-  EXPECT_EQ(impl, DecompImpl::kSort);
-  EXPECT_TRUE(fromString("histogram", impl));
-  EXPECT_EQ(impl, DecompImpl::kHistogram);
-  EXPECT_FALSE(fromString("radix", impl));
 }
 
 TEST(DecompParallel, ChunkRangesPartitionTheInput) {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hpp"
 #include "core/config.hpp"
 #include "core/serialization.hpp"
 #include "rts/checkpoint.hpp"
@@ -457,6 +458,47 @@ TEST(DurableConfig, CompatibilityHashTracksShapeNotSchedule) {
   c.fault.enabled = true;
   c.fault.seed = 123;
   EXPECT_EQ(base, c.compatibilityHash(600));
+}
+
+// Generations written by older builds must keep resuming: the default
+// configuration's stamp is pinned to the value those builds wrote.
+TEST(DurableConfig, CompatibilityHashIsStableAcrossVersions) {
+  EXPECT_EQ(Configuration{}.compatibilityHash(600), 0xd8cd335311410d50ull);
+}
+
+/// Run ArgParser::checkpointInto over `flags` as a command line.
+Configuration parseCheckpointFlags(std::vector<std::string> flags) {
+  flags.insert(flags.begin(), "bench");
+  std::vector<char*> argv;
+  for (auto& f : flags) argv.push_back(f.data());
+  int argc = static_cast<int>(argv.size());
+  Configuration conf;
+  bench::ArgParser(argc, argv.data()).checkpointInto(conf);
+  return conf;
+}
+
+TEST(DurableConfig, CheckpointFlagsParseWholeNumbers) {
+  const Configuration conf = parseCheckpointFlags(
+      {"--checkpoint-every=3", "--crash-at-step=7",
+       "--drain-deadline-ms=250.5"});
+  EXPECT_EQ(conf.checkpoint_every, 3);
+  EXPECT_EQ(conf.fault.crash_step, 7);
+  EXPECT_EQ(conf.fault.drain_deadline_ms, 250.5);
+}
+
+// A malformed number is a usage error, never a silent 0 (which would
+// disable checkpointing or crash at step 0).
+TEST(DurableConfig, CheckpointFlagsRejectMalformedNumbers) {
+  EXPECT_EXIT(parseCheckpointFlags({"--checkpoint-every=x"}),
+              ::testing::ExitedWithCode(2),
+              "--checkpoint-every= expects an integer, got 'x'");
+  EXPECT_EXIT(parseCheckpointFlags({"--crash-at-step=3abc"}),
+              ::testing::ExitedWithCode(2), "--crash-at-step=");
+  EXPECT_EXIT(parseCheckpointFlags({"--crash-at-step="}),
+              ::testing::ExitedWithCode(2), "--crash-at-step=");
+  EXPECT_EXIT(parseCheckpointFlags({"--drain-deadline-ms=1.5s"}),
+              ::testing::ExitedWithCode(2),
+              "--drain-deadline-ms= expects a number, got '1.5s'");
 }
 
 }  // namespace

@@ -286,14 +286,13 @@ std::vector<const Bucket<Data>*> sortedBuckets(const Partition<Data>& part) {
   return out;
 }
 
-class ResidentStorageTest
-    : public ::testing::TestWithParam<std::tuple<DecompType, DecompImpl>> {};
+class ResidentStorageTest : public ::testing::TestWithParam<DecompType> {};
 
 // flush() gathers into the resident particle array and decompose() refills
 // the resident Subtrees; every round must leave exactly the state a fresh
 // Forest loaded from the same particles reaches.
 TEST_P(ResidentStorageTest, EveryRoundMatchesAFreshForest) {
-  const auto [decomp, impl] = GetParam();
+  const DecompType decomp = GetParam();
   // Each decomposition over the tree it is consistent with (SFC over
   // octrees).
   const TreeType tree = decomp == DecompType::eKd        ? TreeType::eKd
@@ -303,7 +302,6 @@ TEST_P(ResidentStorageTest, EveryRoundMatchesAFreshForest) {
   Configuration conf = baseConfig();
   conf.decomp_type = decomp;
   conf.tree_type = tree;
-  conf.decomp_impl = impl;
 
   // Shuffled, so a particle's `order` differs from its index.
   auto input = makeParticles(uniformCube(700, 149));
@@ -367,14 +365,9 @@ TEST_P(ResidentStorageTest, EveryRoundMatchesAFreshForest) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllDecomps, ResidentStorageTest,
-    ::testing::Combine(::testing::Values(DecompType::eSfc, DecompType::eOct,
-                                         DecompType::eKd, DecompType::eLongest),
-                       ::testing::Values(DecompImpl::kHistogram,
-                                         DecompImpl::kSort)),
-    [](const auto& info) {
-      return toString(std::get<0>(info.param)) + "_" +
-             toString(std::get<1>(info.param));
-    });
+    ::testing::Values(DecompType::eSfc, DecompType::eOct, DecompType::eKd,
+                      DecompType::eLongest),
+    [](const auto& info) { return toString(info.param); });
 
 TEST(Forest, PhaseTimersAccumulate) {
   rts::Runtime rt({1, 1});
