@@ -45,7 +45,9 @@ struct Series {
 Series runParaTreeT(std::size_t n, int procs, int workers,
                     TraversalStyle style, int iterations, EvalKernel kernel) {
   rts::Runtime::Config rc{procs, workers, bench::defaultInterconnect()};
+  obs::MetricsRegistry counts;  // declared first: outlives the runtime
   rts::Runtime rt(rc);
+  rt.attachMetrics(&counts);
   Configuration conf;
   conf.tree_type = TreeType::eOct;
   conf.decomp_type = DecompType::eSfc;
@@ -58,7 +60,7 @@ Series runParaTreeT(std::size_t n, int procs, int workers,
   Series s;
   RunningStats iter_time;
   for (int it = 0; it < iterations; ++it) {
-    rt.resetStats();
+    counts.resetAll();
     WallTimer timer;
     forest.build();
     const double build_s = timer.seconds();
@@ -66,7 +68,7 @@ Series runParaTreeT(std::size_t n, int procs, int workers,
                                     kernel);
     iter_time.add(timer.seconds());
     s.build += build_s;
-    s.comm_bytes += rt.stats().bytes;
+    s.comm_bytes += counts.counter("rts.message_bytes").value();
     forest.flush();
   }
   s.avg_iter = iter_time.mean();
@@ -78,7 +80,9 @@ Series runParaTreeT(std::size_t n, int procs, int workers,
 Series runChanga(std::size_t n, int procs, int workers, int iterations,
                  std::uint64_t* boundary_nodes) {
   rts::Runtime::Config rc{procs, workers, bench::defaultInterconnect()};
+  obs::MetricsRegistry counts;  // declared first: outlives the runtime
   rts::Runtime rt(rc);
+  rt.attachMetrics(&counts);
   baselines::ChangaConfig config;
   config.n_pieces = 4 * procs * workers;
   config.bucket_size = 16;
@@ -88,7 +92,7 @@ Series runChanga(std::size_t n, int procs, int workers, int iterations,
   Series s;
   RunningStats iter_time;
   for (int it = 0; it < iterations; ++it) {
-    rt.resetStats();
+    counts.resetAll();
     solver.resetStats();
     WallTimer timer;
     solver.build();
@@ -96,7 +100,7 @@ Series runChanga(std::size_t n, int procs, int workers, int iterations,
     solver.traverseGravity();
     iter_time.add(timer.seconds());
     s.build += build_s;
-    s.comm_bytes += rt.stats().bytes;
+    s.comm_bytes += counts.counter("rts.message_bytes").value();
     *boundary_nodes = solver.stats().boundary_nodes.load();
   }
   s.avg_iter = iter_time.mean();

@@ -53,28 +53,32 @@ Result run(std::size_t n, int procs, int workers, CacheModel model,
   conf.min_subtrees = 2 * procs;
   conf.bucket_size = 16;
 
-  Forest<CentroidData, OctTreeType> forest(rt, conf);
+  obs::MetricsRegistry counts;
+  Forest<CentroidData, OctTreeType> forest(
+      rt, conf, Instrumentation{nullptr, &counts, nullptr});
   forest.load(makeParticles(clustered(n, 42, 24, 0.02)));
   forest.decompose();
 
   Result result;
   RunningStats time;
-  // One untimed warmup iteration (thread pools, allocator, page faults).
+  // One untimed warmup iteration (thread pools, allocator, page faults),
+  // left out of the counts.
   forest.build();
   forest.traverse<GravityVisitor>(GravityVisitor{});
   forest.flush();
+  counts.resetAll();
   for (int it = 0; it < iterations; ++it) {
     forest.build();
     WallTimer timer;
     forest.traverse<GravityVisitor>(GravityVisitor{});
     time.add(timer.seconds());
-    const auto stats = forest.cacheStatsTotal();
-    result.fetches += stats.requests_sent;
-    result.bytes += stats.bytes_received;
-    result.lock_wait_us += stats.lock_wait_ns / 1000;
     result.cached_nodes = forest.cachedNodeCount();
     forest.flush();
   }
+  // Totals over the measured iterations.
+  result.fetches = counts.counter("cache.misses").value();
+  result.bytes = counts.counter("cache.bytes_received").value();
+  result.lock_wait_us = counts.counter("cache.lock_wait_ns").value() / 1000;
   result.avg_iteration_s = time.mean();
   return result;
 }

@@ -101,11 +101,15 @@ int main(int argc, char** argv) {
                 bar, 100.0 * std::min(busy, 1.0));
   }
 
-  const auto stats = forest.cacheStatsTotal();
+  // The registry is fresh and the run is one iteration, so its totals are
+  // that iteration's.
   std::printf("\ncache: %llu requests, %llu fills, %llu paused traversals\n",
-              static_cast<unsigned long long>(stats.requests_sent),
-              static_cast<unsigned long long>(stats.fills),
-              static_cast<unsigned long long>(stats.pauses));
+              static_cast<unsigned long long>(
+                  ob.metrics.counter("cache.misses").value()),
+              static_cast<unsigned long long>(
+                  ob.metrics.counter("cache.fills").value()),
+              static_cast<unsigned long long>(
+                  ob.metrics.counter("cache.pauses").value()));
   std::printf("\nExpected shape (paper): local traversal dominates; cache "
               "requests/insertions/resumptions are thin slices appearing "
               "towards the end of the iteration.\n");

@@ -185,15 +185,16 @@ int main(int argc, char** argv) {
   }
   WallTimer timer;
   // Phase times come from the span totals; a capacity-0 trace keeps only
-  // those totals, no events.
+  // those totals, no events. Event counts come from the registry.
   obs::TraceBuffer phases(0);
+  obs::MetricsRegistry counts;
   // A cold Plummer sphere (zero velocities): it contracts under its own
   // gravity, converting potential into kinetic energy. A resumed run
   // regenerates the same ICs — they seed the compatibility hash — but
   // physics continues from the restored checkpoint, not from them.
   try {
     app.run(rt, makeParticles(plummer(n, ic_seed, 0.25)),
-            Instrumentation{nullptr, nullptr, &phases});
+            Instrumentation{nullptr, &counts, &phases});
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gravity_sim: %s\n", e.what());
     return 1;
@@ -216,10 +217,11 @@ int main(int argc, char** argv) {
               elapsed, phases.totalSeconds("decompose"),
               phases.totalSeconds("build"),
               phases.totalSeconds("traverse.top_down"));
-  const auto stats = app.forest().cacheStatsTotal();
-  std::printf("last-iteration cache: %llu fetches, %llu nodes inserted\n",
-              static_cast<unsigned long long>(stats.requests_sent),
-              static_cast<unsigned long long>(stats.nodes_inserted));
+  std::printf("run-total cache: %llu fetches, %llu nodes inserted\n",
+              static_cast<unsigned long long>(
+                  counts.counter("cache.misses").value()),
+              static_cast<unsigned long long>(
+                  counts.counter("cache.nodes_inserted").value()));
   if (cli.fault.crash_step >= 0 || cli.fault.wedge_step >= 0) {
     // A detected wedge is promoted to a crash by the heartbeat monitor,
     // so both faults land in the same counter.

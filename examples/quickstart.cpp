@@ -12,8 +12,8 @@
 //                    [--checkpoint-every=K] [--checkpoint-dir=<path>]
 //                    [--checkpoint-keep=K] [--resume] [--fault-torn-write]
 //
-// --metrics-out enables the observability layer (metrics registry, trace
-// buffer, activity profiler) and writes its JSON report to <file>
+// --metrics-out adds the trace buffer and activity profiler to the
+// always-on metrics registry and writes the JSON report to <file>
 // ("-" = stdout); see README "Observability" for the schema.
 //
 // --chaos-seed / --fault-drop inject a seeded schedule of transport
@@ -138,12 +138,14 @@ int main(int argc, char** argv) {
   }
 
   // One Observability bundle owns the profiler + metrics + trace buffer;
-  // the library takes a non-owning Instrumentation handle (all-null when
-  // metrics are off, which makes every probe a no-op).
+  // the library takes a non-owning Instrumentation handle. The registry
+  // is always attached (it is where the cache counts its fetches); the
+  // profiler and trace buffer only with --metrics-out.
   Observability ob;
-  const Instrumentation instr = metrics_enabled ? ob.handle()
-                                                : Instrumentation{};
-  if (instr.metrics != nullptr) rt.attachMetrics(instr.metrics);
+  const Instrumentation instr =
+      metrics_enabled ? ob.handle()
+                      : Instrumentation{nullptr, &ob.metrics, nullptr};
+  rt.attachMetrics(&ob.metrics);
   if (instr.trace != nullptr) rt.attachTrace(instr.trace);
 
   Forest<MassData, OctTreeType> forest(rt, conf, instr);
@@ -164,10 +166,12 @@ int main(int argc, char** argv) {
   std::printf("subtrees:           %d\n", forest.numSubtrees());
   std::printf("mean mass in ball:  %.6f (analytic ~%.6f)\n", mean,
               4.0 / 3.0 * 3.14159265 * 0.001);
-  const auto stats = forest.cacheStatsTotal();
+  // Run totals; this run is one traversal.
   std::printf("cache fetches:      %llu (%llu bytes)\n",
-              static_cast<unsigned long long>(stats.requests_sent),
-              static_cast<unsigned long long>(stats.bytes_received));
+              static_cast<unsigned long long>(
+                  ob.metrics.counter("cache.misses").value()),
+              static_cast<unsigned long long>(
+                  ob.metrics.counter("cache.bytes_received").value()));
   if (const auto* inj = rt.faultInjector()) {
     std::printf("injected faults:   ");
     const auto counts = inj->counts();
@@ -185,8 +189,8 @@ int main(int argc, char** argv) {
     }
   }
 
+  rt.attachMetrics(nullptr);  // quiesce before the registry goes away
   if (metrics_enabled) {
-    rt.attachMetrics(nullptr);  // quiesce before the registry goes away
     rt.attachTrace(nullptr);
     try {
       obs::Reporter(ob.handle()).writeJson(metrics_out);

@@ -59,6 +59,13 @@ inline bool pathLess(Key a, Key b, int bits_per_level) {
 ///
 /// All models produce identical traversal results; they differ only in
 /// synchronization and communication behaviour.
+///
+/// Every cache event (miss, fill, received byte, pause, lock wait, ...)
+/// is counted once, in the `cache.*` counters of the metrics registry in
+/// Options::instr. The cache keeps no counts of its own: with no registry
+/// attached nothing is counted, and reset() leaves the counters alone, so
+/// they are cumulative over the registry's lifetime (use a fresh
+/// registry, a delta or MetricsRegistry::resetAll() for one iteration).
 template <typename Data>
 class CacheManager {
  public:
@@ -72,69 +79,6 @@ class CacheManager {
     int max_fetch_retries = 3;
     /// Sinks for activity profiling, metrics, and tracing (all optional).
     Instrumentation instr{};
-  };
-
-  /// Statistics for one iteration of traversal, per process. Counters are
-  /// updated concurrently by workers (relaxed atomics) and read after
-  /// drain().
-  struct Stats {
-    std::atomic<std::uint64_t> requests_sent{0};    ///< misses that fetched
-    std::atomic<std::uint64_t> requests_served{0};  ///< fetches served
-    std::atomic<std::uint64_t> fills{0};            ///< responses inserted
-    std::atomic<std::uint64_t> nodes_inserted{0};
-    std::atomic<std::uint64_t> bytes_received{0};
-    std::atomic<std::uint64_t> pauses{0};  ///< continuations deferred
-    /// Nodes replicated during the build by the share_levels knob.
-    std::atomic<std::uint64_t> preloaded_nodes{0};
-    /// Nanoseconds spent waiting to acquire insertion locks (kXWrite /
-    /// kSingleInserter); identically zero for the wait-free model.
-    std::atomic<std::uint64_t> lock_wait_ns{0};
-    /// Re-requests after an injected fetch failure.
-    std::atomic<std::uint64_t> fetch_retries{0};
-    /// Fills that exhausted their retry budget and fell back to a
-    /// synchronous direct read of the owning subtree.
-    std::atomic<std::uint64_t> degraded_reads{0};
-
-    void reset() {
-      requests_sent = 0;
-      requests_served = 0;
-      fills = 0;
-      nodes_inserted = 0;
-      bytes_received = 0;
-      pauses = 0;
-      preloaded_nodes = 0;
-      lock_wait_ns = 0;
-      fetch_retries = 0;
-      degraded_reads = 0;
-    }
-  };
-
-  /// Copyable snapshot of Stats; what aggregation APIs return.
-  struct StatsSnapshot {
-    std::uint64_t requests_sent = 0;
-    std::uint64_t requests_served = 0;
-    std::uint64_t fills = 0;
-    std::uint64_t nodes_inserted = 0;
-    std::uint64_t bytes_received = 0;
-    std::uint64_t pauses = 0;
-    std::uint64_t preloaded_nodes = 0;
-    std::uint64_t lock_wait_ns = 0;
-    std::uint64_t fetch_retries = 0;
-    std::uint64_t degraded_reads = 0;
-
-    StatsSnapshot& operator+=(const Stats& s) {
-      requests_sent += s.requests_sent.load(std::memory_order_relaxed);
-      requests_served += s.requests_served.load(std::memory_order_relaxed);
-      fills += s.fills.load(std::memory_order_relaxed);
-      nodes_inserted += s.nodes_inserted.load(std::memory_order_relaxed);
-      bytes_received += s.bytes_received.load(std::memory_order_relaxed);
-      pauses += s.pauses.load(std::memory_order_relaxed);
-      preloaded_nodes += s.preloaded_nodes.load(std::memory_order_relaxed);
-      lock_wait_ns += s.lock_wait_ns.load(std::memory_order_relaxed);
-      fetch_retries += s.fetch_retries.load(std::memory_order_relaxed);
-      degraded_reads += s.degraded_reads.load(std::memory_order_relaxed);
-      return *this;
-    }
   };
 
   void init(rts::Runtime* rt, int proc, const Options& opts,
@@ -181,7 +125,6 @@ class CacheManager {
     blocks_.clear();
     local_roots_.clear();
     root_.store(nullptr, std::memory_order_relaxed);
-    stats_.reset();
     for (auto& wc : worker_caches_) {
       std::lock_guard lock(wc->mutex);
       wc->entries.clear();
@@ -279,8 +222,6 @@ class CacheManager {
   void preload(const ResponseBlock<Data>& block) {
     Node<Data>* ph = findUpperNode(block.requested);
     if (ph == nullptr || !ph->placeholder()) return;
-    stats_.preloaded_nodes.fetch_add(block.records.size(),
-                                     std::memory_order_relaxed);
     bump(metrics_.preloaded_nodes, block.records.size());
     insertShared(block, ph);
   }
@@ -292,7 +233,6 @@ class CacheManager {
   void requestThenResume(Node<Data>* ph, std::function<void()> resume,
                          int worker_slot) {
     rts::ActivityScope scope(opts_.instr.profiler, rts::Activity::kCacheRequest);
-    stats_.pauses.fetch_add(1, std::memory_order_relaxed);
     bump(metrics_.pauses);
     if (opts_.model == CacheModel::kPerThread) {
       requestPerThread(ph, std::move(resume), worker_slot);
@@ -309,8 +249,6 @@ class CacheManager {
       delete w;
     }
   }
-
-  const Stats& stats() const { return stats_; }
 
   /// Sum of private-cache node copies (kPerThread memory footprint).
   /// Safe to poll mid-traversal: concurrent fills push into blocks_ under
@@ -335,19 +273,25 @@ class CacheManager {
   };
 
   /// Pre-registered registry instruments; null pointers when no registry
-  /// is attached (see init()).
+  /// is attached (see init()). These are the cache's only counts.
   struct Metrics {
     obs::Counter* hits = nullptr;          ///< request found data published
     obs::Counter* misses = nullptr;        ///< requests that fetched (sent)
     obs::Counter* shared_waits = nullptr;  ///< piggybacked on in-flight fetch
     obs::Counter* requests_served = nullptr;
-    obs::Counter* fills = nullptr;
+    obs::Counter* fills = nullptr;         ///< responses inserted
     obs::Counter* nodes_inserted = nullptr;
     obs::Counter* bytes_received = nullptr;
-    obs::Counter* pauses = nullptr;
+    obs::Counter* pauses = nullptr;        ///< continuations deferred
+    /// Nodes replicated during the build by the share_levels knob.
     obs::Counter* preloaded_nodes = nullptr;
+    /// Time spent acquiring insertion locks (kXWrite / kSingleInserter);
+    /// stays zero for the wait-free model.
     obs::Counter* lock_wait_ns = nullptr;
+    /// Re-requests after an injected fetch failure.
     obs::Counter* fetch_retries = nullptr;
+    /// Fills that exhausted their retry budget and fell back to a
+    /// synchronous direct read of the owning subtree.
     obs::Counter* degraded_reads = nullptr;
   };
 
@@ -439,10 +383,7 @@ class CacheManager {
 
   void sendRequestAttempt(Node<Data>* ph, int worker_slot,
                           std::uint64_t fetch_id, int attempt) {
-    if (attempt == 0) {
-      stats_.requests_sent.fetch_add(1, std::memory_order_relaxed);
-      bump(metrics_.misses);
-    }
+    if (attempt == 0) bump(metrics_.misses);
     const int home = ph->home_proc;
     const Key key = ph->key;
     const int requester = proc_;
@@ -470,7 +411,6 @@ class CacheManager {
                     Node<Data>* ph, int worker_slot,
                     std::uint64_t fetch_id = 0, int attempt = 0) {
     rts::ActivityScope scope(opts_.instr.profiler, rts::Activity::kCacheRequest);
-    stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
     bump(metrics_.requests_served);
     if (auto* inj = rt_->faultInjector();
         inj != nullptr &&
@@ -508,7 +448,6 @@ class CacheManager {
   void handleFetchFailure(Node<Data>* ph, int worker_slot,
                           std::uint64_t fetch_id, int attempt) {
     if (attempt < opts_.max_fetch_retries) {
-      stats_.fetch_retries.fetch_add(1, std::memory_order_relaxed);
       bump(metrics_.fetch_retries);
       obs::TraceSpan span(opts_.instr.trace, "cache.fetch_retry", "fault",
                           rts::Runtime::currentProc(),
@@ -527,7 +466,6 @@ class CacheManager {
     obs::TraceSpan span(opts_.instr.trace, "cache.degraded_read", "fault",
                         rts::Runtime::currentProc(),
                         rts::Runtime::currentWorker());
-    stats_.degraded_reads.fetch_add(1, std::memory_order_relaxed);
     bump(metrics_.degraded_reads);
     CacheManager& home = (*all_caches_)[static_cast<std::size_t>(ph->home_proc)];
     Node<Data>* node = home.localNode(ph->key);
@@ -547,8 +485,6 @@ class CacheManager {
     obs::TraceSpan span(opts_.instr.trace, "cache.fill", "cache",
                         rts::Runtime::currentProc(),
                         rts::Runtime::currentWorker());
-    stats_.fills.fetch_add(1, std::memory_order_relaxed);
-    stats_.bytes_received.fetch_add(bytes, std::memory_order_relaxed);
     bump(metrics_.fills);
     bump(metrics_.bytes_received, bytes);
     switch (opts_.model) {
@@ -586,7 +522,6 @@ class CacheManager {
     const auto waited = std::chrono::steady_clock::now() - start;
     const auto ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(waited).count());
-    stats_.lock_wait_ns.fetch_add(ns, std::memory_order_relaxed);
     bump(metrics_.lock_wait_ns, ns);
   }
 
@@ -648,7 +583,6 @@ class CacheManager {
         made[static_cast<std::size_t>(rec.parent_index)]->setChild(
             rec.child_slot, n);
       }
-      stats_.nodes_inserted.fetch_add(1, std::memory_order_relaxed);
       bump(metrics_.nodes_inserted);
     }
     return made.empty() ? nullptr : made[0];
@@ -750,7 +684,6 @@ class CacheManager {
 
   std::vector<std::unique_ptr<WorkerCache>> worker_caches_;
 
-  Stats stats_;
   Metrics metrics_{};
 };
 

@@ -165,10 +165,10 @@ std::uint64_t Configuration::compatibilityHash(
   const auto mix = [&h](std::uint64_t v) {
     h = rts::detail::splitmix64(h ^ v);
   };
-  mix(random_seed);
+  mix(42);  // default of the retired seed field, so old generations resume
   mix(static_cast<std::uint64_t>(tree_type));
   mix(static_cast<std::uint64_t>(decomp_type));
-  // Defaults of two retired decomposition knobs, so old generations resume.
+  // Defaults of two retired decomposition knobs, same reason.
   mix(1);
   mix(15);
   mix(static_cast<std::uint64_t>(min_partitions));

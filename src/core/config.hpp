@@ -97,7 +97,6 @@ struct Configuration {
   /// Driver::run() uses it when no particles are passed directly.
   std::string input_file;
   int num_iterations = 1;
-  std::uint64_t random_seed = 42;
 
   // --- structure -----------------------------------------------------------
   TreeType tree_type = TreeType::eOct;
@@ -190,8 +189,8 @@ struct Configuration {
 
   /// Compatibility stamp written into every durable generation's MANIFEST
   /// and checked on resume: a hash of every parameter that shapes the
-  /// restored state or its deterministic evolution (seed, tree/decomp
-  /// shape, chare minimums, bucket/fetch/cache choices, load balancing)
+  /// restored state or its deterministic evolution (tree/decomp shape,
+  /// chare minimums, bucket/fetch/cache choices, load balancing)
   /// plus the particle count. Deliberately *excluded*: num_iterations
   /// (extending a run is the point of resuming), transport (inproc and
   /// tcp are bitwise-equivalent), checkpoint cadence/retention, and the

@@ -643,13 +643,6 @@ class Forest {
     decompose();
   }
 
-  /// Sum cache statistics across processes (after a traversal).
-  typename CacheManager<Data>::StatsSnapshot cacheStatsTotal() const {
-    typename CacheManager<Data>::StatsSnapshot total;
-    for (const auto& c : caches_) total += c.stats();
-    return total;
-  }
-
   /// Total cached node copies across processes (memory footprint).
   std::size_t cachedNodeCount() const {
     std::size_t n = 0;

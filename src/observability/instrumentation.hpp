@@ -15,7 +15,9 @@ namespace paratreet {
 /// counters and histograms) and structured tracing, and the caller owns
 /// the sinks. Time is recorded only as trace spans: the TraceBuffer's
 /// exact per-name totals are the phase times, whether or not the ring
-/// kept every event.
+/// kept every event. Event counts live only in the registry (cache.*,
+/// rts.*, checkpoint.*); nothing in a run zeroes them, so they are
+/// cumulative until the caller's MetricsRegistry::resetAll().
 struct Instrumentation {
   rts::ActivityProfiler* profiler = nullptr;
   obs::MetricsRegistry* metrics = nullptr;

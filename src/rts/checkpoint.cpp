@@ -92,8 +92,6 @@ void CheckpointStore::commit(int rank, int step,
     mem.lost = false;  // a committing rank evidently has working memory
     keepLastTwo(mem.own, Chunk{step, bytes, chunkCrc(bytes)});
   }
-  bytes_stored_.fetch_add(size, std::memory_order_relaxed);
-  commits_.fetch_add(1, std::memory_order_relaxed);
   if (bytes_metric_ != nullptr) bytes_metric_->add(size);
   if (buddy != rank) {
     // Ship the second copy; counted as ordinary message traffic so the
@@ -255,14 +253,6 @@ bool CheckpointStore::corruptStoredChunk(int rank, int owner, int step) {
     return true;
   }
   return false;
-}
-
-std::uint64_t CheckpointStore::bytesStored() const {
-  return bytes_stored_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t CheckpointStore::commits() const {
-  return commits_.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -79,8 +78,6 @@ class CheckpointStore {
   std::vector<std::vector<std::byte>> assemble(int step) const;
 
   bool sealed(int step) const;
-  std::uint64_t bytesStored() const;
-  std::uint64_t commits() const;
 
   /// Chaos/test hook: flip one byte of a stored copy of (owner, step) —
   /// the owner's own copy when `rank == owner`, else the buddy copy rank
@@ -121,8 +118,6 @@ class CheckpointStore {
   std::vector<int> sealed_;  // ascending, at most the last two
 
   obs::Counter* bytes_metric_ = nullptr;
-  std::atomic<std::uint64_t> bytes_stored_{0};
-  std::atomic<std::uint64_t> commits_{0};
 };
 
 /// Disk-based complement of the in-memory double checkpoint (the other

@@ -44,7 +44,8 @@ class ReliableLayer {
   /// over the runtime's Transport; ack-timeout timers stay local.
   void send(Message msg);
 
-  /// Positional legacy form, mirroring Runtime::send()'s overload.
+  /// Untagged (MessageKind::kData) convenience form, mirroring
+  /// Runtime::send()'s overload.
   void send(int from, int to, std::size_t bytes, Task on_receive) {
     Message msg;
     msg.from = from;

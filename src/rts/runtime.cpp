@@ -1,6 +1,5 @@
 #include "rts/runtime.hpp"
 
-#include <cassert>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -12,14 +11,24 @@ namespace paratreet::rts {
 namespace {
 thread_local int tls_proc = -1;
 thread_local int tls_worker = -1;
+
+Runtime::Config checkedShape(Runtime::Config config) {
+  if (config.n_procs < 1 || config.workers_per_proc < 1) {
+    throw std::invalid_argument(
+        "Runtime: n_procs and workers_per_proc must be >= 1 (got " +
+        std::to_string(config.n_procs) + " x " +
+        std::to_string(config.workers_per_proc) + ")");
+  }
+  return config;
+}
 }  // namespace
 
 int Runtime::currentProc() { return tls_proc; }
 int Runtime::currentWorker() { return tls_worker; }
 
 Runtime::Runtime(Config config)
-    : config_(config), start_(std::chrono::steady_clock::now()) {
-  assert(config_.n_procs > 0 && config_.workers_per_proc > 0);
+    : config_(checkedShape(std::move(config))),
+      start_(std::chrono::steady_clock::now()) {
   queues_.reserve(config_.n_procs);
   for (int p = 0; p < config_.n_procs; ++p) {
     queues_.push_back(std::make_unique<ProcQueue>());
@@ -264,8 +273,6 @@ void Runtime::send(Message msg) {
   // Dropped before entering the reliable layer: retransmitting into a
   // rank the recovery already excluded would only burn the retry budget.
   if (queues_[msg.to]->excluded.load(std::memory_order_acquire)) return;
-  msg_count_.fetch_add(1, std::memory_order_relaxed);
-  msg_bytes_.fetch_add(msg.bytes, std::memory_order_relaxed);
   if (auto* m = metrics_.load(std::memory_order_acquire)) {
     m->messages->add(1);
     m->message_bytes->add(msg.bytes);
@@ -562,16 +569,6 @@ void Runtime::recoverCrashedRanks(bool restart) {
   }
 }
 
-CommStats Runtime::stats() const {
-  return {msg_count_.load(std::memory_order_relaxed),
-          msg_bytes_.load(std::memory_order_relaxed)};
-}
-
-void Runtime::resetStats() {
-  msg_count_.store(0, std::memory_order_relaxed);
-  msg_bytes_.store(0, std::memory_order_relaxed);
-}
-
 void Runtime::workerLoop(int proc, int worker) {
   tls_proc = proc;
   tls_worker = worker;
@@ -648,7 +645,10 @@ void Runtime::workerLoop(int proc, int worker) {
     const auto w0 = timed ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
     if (!q.delayed.empty()) {
-      q.cv.wait_until(lock, q.delayed.top().ready);
+      // By value: wait_until rereads its deadline after each wake, and a
+      // push while the lock is released may reallocate the heap under it.
+      const auto ready = q.delayed.top().ready;
+      q.cv.wait_until(lock, ready);
     } else {
       q.cv.wait(lock);
     }

@@ -39,12 +39,6 @@ struct CommModel {
   }
 };
 
-/// Aggregate communication counters, readable after drain().
-struct CommStats {
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-};
-
 namespace detail {
 
 /// A task waiting for its modeled delivery time in a per-proc
@@ -71,7 +65,10 @@ class ReliableLayer;
 /// process's workers (whichever is least busy — idle workers race to pop,
 /// which matches the paper's "least busy worker" dispatch of cache-fill
 /// messages). Cross-process communication goes through send(), which
-/// counts messages/bytes and optionally applies the CommModel delay.
+/// counts each logical message once in the attached registry's
+/// rts.messages / rts.message_bytes (retransmissions and injected
+/// duplicates land in rts.retries / rts.faults_injected.* instead) and
+/// optionally applies the CommModel delay.
 ///
 /// The orchestrating (main) thread is *not* a worker: it configures a
 /// phase, enqueues seed tasks, and calls drain() to wait for quiescence
@@ -96,6 +93,8 @@ class Runtime {
     TransportConfig transport{};
   };
 
+  /// Throws std::invalid_argument when n_procs or workers_per_proc is
+  /// below 1, before any queue, transport or thread is created.
   explicit Runtime(Config config);
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -120,8 +119,8 @@ class Runtime {
   /// std::out_of_range when either rank is invalid.
   void send(Message msg);
 
-  /// Positional legacy form of send(); kept as a delegating overload for
-  /// one release — new code should build a Message (and tag its kind).
+  /// Untagged convenience form of send(): a MessageKind::kData message
+  /// with no wire payload.
   void send(int from, int to, std::size_t bytes, Task on_receive) {
     Message msg;
     msg.from = from;
@@ -167,13 +166,6 @@ class Runtime {
   /// deadline expires first, throws QuiescenceTimeout carrying the
   /// quiescence diagnostic instead of waiting forever.
   void drain();
-
-  /// Communication counters accumulated since the last resetStats().
-  /// Messages are counted once per logical send(); reliable-layer
-  /// retransmissions and injected duplicates show up in rts.retries /
-  /// rts.faults_injected.* instead.
-  CommStats stats() const;
-  void resetStats();
 
   /// (Re)apply a fault schedule. Must be called while quiescent (after
   /// drain(), no tasks queued). Replaces the injector and the reliable
@@ -328,8 +320,6 @@ class Runtime {
   std::mutex drain_mutex_;
   std::condition_variable drain_cv_;
 
-  std::atomic<std::uint64_t> msg_count_{0};
-  std::atomic<std::uint64_t> msg_bytes_{0};
   std::atomic<std::uint64_t> delay_seq_{0};
   std::atomic<std::uint64_t> crashes_{0};
 

@@ -72,29 +72,32 @@ INSTANTIATE_TEST_SUITE_P(AllModels, CacheModelTest,
 TEST(CacheManager, SingleProcNeedsNoFetches) {
   rts::Runtime rt({1, 2});
   Configuration conf = smallConfig();
-  Forest<CentroidData, OctTreeType> forest(rt, conf);
+  obs::MetricsRegistry counts;
+  Forest<CentroidData, OctTreeType> forest(
+      rt, conf, Instrumentation{nullptr, &counts, nullptr});
   forest.load(makeParticles(uniformCube(500, 3)));
   forest.decompose();
   forest.build();
   forest.traverse<GravityVisitor>(GravityVisitor{});
-  const auto stats = forest.cacheStatsTotal();
-  EXPECT_EQ(stats.requests_sent, 0u);
-  EXPECT_EQ(stats.fills, 0u);
+  EXPECT_EQ(counts.counter("cache.misses").value(), 0u);
+  EXPECT_EQ(counts.counter("cache.fills").value(), 0u);
 }
 
 TEST(CacheManager, MultiProcFetchesRemoteData) {
   rts::Runtime rt({4, 1});
   Configuration conf = smallConfig();
-  Forest<CentroidData, OctTreeType> forest(rt, conf);
+  obs::MetricsRegistry counts;
+  Forest<CentroidData, OctTreeType> forest(
+      rt, conf, Instrumentation{nullptr, &counts, nullptr});
   forest.load(makeParticles(uniformCube(800, 4)));
   forest.decompose();
   forest.build();
   forest.traverse<GravityVisitor>(GravityVisitor{});
-  const auto stats = forest.cacheStatsTotal();
-  EXPECT_GT(stats.requests_sent, 0u);
-  EXPECT_EQ(stats.fills, stats.requests_sent);
-  EXPECT_GT(stats.bytes_received, 0u);
-  EXPECT_GT(stats.pauses, 0u);
+  const std::uint64_t misses = counts.counter("cache.misses").value();
+  EXPECT_GT(misses, 0u);
+  EXPECT_EQ(counts.counter("cache.fills").value(), misses);
+  EXPECT_GT(counts.counter("cache.bytes_received").value(), 0u);
+  EXPECT_GT(counts.counter("cache.pauses").value(), 0u);
 }
 
 TEST(CacheManager, PerThreadModelFetchesMore) {
@@ -106,12 +109,14 @@ TEST(CacheManager, PerThreadModelFetchesMore) {
 
   auto requests = [&](CacheModel model) {
     conf.cache_model = model;
-    Forest<CentroidData, OctTreeType> forest(rt, conf);
+    obs::MetricsRegistry counts;
+    Forest<CentroidData, OctTreeType> forest(
+        rt, conf, Instrumentation{nullptr, &counts, nullptr});
     forest.load(makeParticles(clustered(1500, 5, 6, 0.05)));
     forest.decompose();
     forest.build();
     forest.traverse<GravityVisitor>(GravityVisitor{});
-    return forest.cacheStatsTotal().requests_sent;
+    return counts.counter("cache.misses").value();
   };
   const auto shared = requests(CacheModel::kWaitFree);
   const auto per_thread = requests(CacheModel::kPerThread);

@@ -74,7 +74,9 @@ rts::FaultConfig mixedSchedule(std::uint64_t seed) {
 struct ChaosRun {
   std::vector<Particle> particles;
   std::array<std::uint64_t, rts::kNumFaultKinds> fault_counts{};
-  typename CacheManager<CentroidData>::StatsSnapshot cache;
+  /// The last round's cache.misses, cache.fetch_retries and
+  /// cache.degraded_reads (zero when no registry is attached).
+  std::uint64_t misses = 0, fetch_retries = 0, degraded_reads = 0;
   std::uint64_t retries = 0;
   std::uint64_t dup_suppressed = 0;
 };
@@ -96,18 +98,28 @@ ChaosRun runGravity(const rts::FaultConfig& fault,
   // cache, so every round refetches over the transport) so the seeded
   // schedule gets enough draws for each enabled kind to fire.
   constexpr int kRounds = 6;
+  const auto count = [&instr](const char* name) -> std::uint64_t {
+    return instr.metrics != nullptr ? instr.metrics->counter(name).value() : 0;
+  };
   {
     Forest<CentroidData, KdTreeType> forest(rt, bitwiseConfig(), instr);
     forest.load(makeParticles(uniformCube(600, 77)));
     forest.decompose();
     for (int round = 0; round < kRounds; ++round) {
       if (round > 0) forest.flush();  // rebuild and refetch from scratch
+      if (round == kRounds - 1) {
+        out.misses = count("cache.misses");
+        out.fetch_retries = count("cache.fetch_retries");
+        out.degraded_reads = count("cache.degraded_reads");
+      }
       forest.build();
       forest.traverse<GravityVisitor>(GravityVisitor{},
                                       TraversalStyle::kTransposed, kernel);
     }
     out.particles = forest.collect();
-    out.cache = forest.cacheStatsTotal();
+    out.misses = count("cache.misses") - out.misses;
+    out.fetch_retries = count("cache.fetch_retries") - out.fetch_retries;
+    out.degraded_reads = count("cache.degraded_reads") - out.degraded_reads;
   }
   if (auto* inj = rt.faultInjector()) out.fault_counts = inj->counts();
   if (auto* rel = rt.reliableLayer()) {
@@ -233,10 +245,12 @@ TEST(Chaos, FetchFailuresRetryThenDegrade) {
   f.max_fetch_retries = 2;
   f.drain_deadline_ms = 60000.0;
   const ChaosRun clean = runGravity(rts::FaultConfig{});
-  const ChaosRun degraded = runGravity(f);
-  EXPECT_GT(degraded.cache.requests_sent, 0u);
-  EXPECT_EQ(degraded.cache.degraded_reads, degraded.cache.requests_sent);
-  EXPECT_EQ(degraded.cache.fetch_retries, 2 * degraded.cache.requests_sent);
+  obs::MetricsRegistry counts;
+  const ChaosRun degraded =
+      runGravity(f, Instrumentation{nullptr, &counts, nullptr});
+  EXPECT_GT(degraded.misses, 0u);
+  EXPECT_EQ(degraded.degraded_reads, degraded.misses);
+  EXPECT_EQ(degraded.fetch_retries, 2 * degraded.misses);
   EXPECT_GT(degraded.fault_counts[static_cast<std::size_t>(
                 rts::FaultKind::kFetchFail)],
             0u);
@@ -311,8 +325,8 @@ TEST(Chaos, ZeroFaultRunsShowZeroedResilienceCounters) {
     forest.decompose();
     forest.build();
     forest.traverse<GravityVisitor>(GravityVisitor{});
-    EXPECT_EQ(forest.cacheStatsTotal().degraded_reads, 0u);
-    EXPECT_EQ(forest.cacheStatsTotal().fetch_retries, 0u);
+    EXPECT_EQ(ob.metrics.counter("cache.degraded_reads").value(), 0u);
+    EXPECT_EQ(ob.metrics.counter("cache.fetch_retries").value(), 0u);
   }
   EXPECT_EQ(rt.faultInjector(), nullptr);
   EXPECT_EQ(rt.reliableLayer(), nullptr);

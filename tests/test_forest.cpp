@@ -430,14 +430,16 @@ TEST(Forest, CommunicationHappensOnlyAcrossProcs) {
   Configuration conf = baseConfig();
   // Single proc: leaf sharing and traversal need no messages beyond the
   // root-record broadcast to itself.
+  obs::MetricsRegistry counts;  // declared first: outlives the runtime
   rts::Runtime rt({1, 2});
-  rt.resetStats();
+  rt.attachMetrics(&counts);
   Forest<CentroidData, OctTreeType> forest(rt, conf);
   forest.load(makeParticles(uniformCube(300, 127)));
   forest.decompose();
   forest.build();
   forest.traverse<GravityVisitor>(GravityVisitor{});
-  EXPECT_LE(rt.stats().messages, 2u);  // the self-broadcast only
+  // The self-broadcast only.
+  EXPECT_LE(counts.counter("rts.messages").value(), 2u);
 }
 
 }  // namespace

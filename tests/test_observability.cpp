@@ -418,11 +418,6 @@ TEST(Observability, DriverEmitsMetricsSpansAndActivities) {
   EXPECT_GT(misses->value(), 0u);
   ASSERT_NE(ob.metrics.findCounter("cache.fills"), nullptr);
   EXPECT_GT(ob.metrics.findCounter("cache.fills")->value(), 0u);
-  // Registry counters accumulate across iterations; the forest's Stats
-  // reset at each tree build, so cumulative >= last-iteration snapshot.
-  EXPECT_GE(ob.metrics.findCounter("cache.fills")->value(),
-            app.forest().cacheStatsTotal().fills);
-  EXPECT_GE(misses->value(), app.forest().cacheStatsTotal().requests_sent);
 
   // Runtime scheduler metrics.
   EXPECT_GT(ob.metrics.counter("rts.tasks_executed").value(), 0u);

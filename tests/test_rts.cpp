@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -90,15 +91,24 @@ TEST(Runtime, DrainIsReusable) {
 }
 
 TEST(Runtime, SendCountsMessagesAndBytes) {
+  obs::MetricsRegistry counts;  // declared first: outlives the runtime
   Runtime rt({2, 1});
+  rt.attachMetrics(&counts);
   rt.send(0, 1, 128, [] {});
   rt.send(1, 0, 64, [] {});
   rt.drain();
-  const auto stats = rt.stats();
-  EXPECT_EQ(stats.messages, 2u);
-  EXPECT_EQ(stats.bytes, 192u);
-  rt.resetStats();
-  EXPECT_EQ(rt.stats().messages, 0u);
+  EXPECT_EQ(counts.counter("rts.messages").value(), 2u);
+  EXPECT_EQ(counts.counter("rts.message_bytes").value(), 192u);
+  counts.resetAll();  // quiescent: the per-iteration idiom
+  EXPECT_EQ(counts.counter("rts.messages").value(), 0u);
+}
+
+TEST(Runtime, RejectsNonPositiveProcsOrWorkers) {
+  for (const int bad : {0, -1}) {
+    EXPECT_THROW(Runtime({bad, 1}), std::invalid_argument) << bad;
+    EXPECT_THROW(Runtime({1, bad}), std::invalid_argument) << bad;
+    EXPECT_THROW(Runtime({bad, bad}), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Runtime, SendDeliversToDestination) {
@@ -297,7 +307,9 @@ TEST(Profiler, ActivityNamesAligned) {
 }
 
 TEST(Runtime, ConcurrentSendsFromWorkers) {
+  obs::MetricsRegistry counts;
   Runtime rt({3, 2});
+  rt.attachMetrics(&counts);
   std::atomic<int> received{0};
   rt.broadcast([&](int proc) {
     for (int i = 0; i < 50; ++i) {
@@ -306,7 +318,7 @@ TEST(Runtime, ConcurrentSendsFromWorkers) {
   });
   rt.drain();
   EXPECT_EQ(received.load(), 150);
-  EXPECT_EQ(rt.stats().messages, 150u);
+  EXPECT_EQ(counts.counter("rts.messages").value(), 150u);
 }
 
 TEST(Runtime, EnqueueRejectsOutOfRangeProc) {
@@ -327,10 +339,13 @@ TEST(Runtime, EnqueueRejectsOutOfRangeProc) {
 }
 
 TEST(Runtime, SendRejectsOutOfRangeRanks) {
+  obs::MetricsRegistry counts;
   Runtime rt({2, 1});
+  rt.attachMetrics(&counts);
   EXPECT_THROW(rt.send(0, 5, 8, [] {}), std::out_of_range);
   EXPECT_THROW(rt.send(-3, 1, 8, [] {}), std::out_of_range);
-  EXPECT_EQ(rt.stats().messages, 0u);  // rejected sends are not counted
+  // Rejected sends are not counted.
+  EXPECT_EQ(counts.counter("rts.messages").value(), 0u);
   rt.drain();
 }
 

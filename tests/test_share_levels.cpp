@@ -16,14 +16,16 @@ Configuration baseConfig(int share_levels) {
   return conf;
 }
 
+/// One build + traversal; `counts` (when given) must be a fresh registry
+/// and receives that iteration's cache.* counters.
 std::vector<Particle> runWithShare(rts::Runtime& rt, int share_levels,
-                                   typename CacheManager<CentroidData>::StatsSnapshot* stats) {
-  Forest<CentroidData, OctTreeType> forest(rt, baseConfig(share_levels));
+                                   obs::MetricsRegistry* counts) {
+  Forest<CentroidData, OctTreeType> forest(
+      rt, baseConfig(share_levels), Instrumentation{nullptr, counts, nullptr});
   forest.load(makeParticles(uniformCube(700, 19)));
   forest.decompose();
   forest.build();
   forest.traverse<GravityVisitor>(GravityVisitor{});
-  if (stats != nullptr) *stats = forest.cacheStatsTotal();
   return forest.collect();
 }
 
@@ -40,26 +42,28 @@ TEST(ShareLevels, ResultsIdenticalWithAndWithoutSharing) {
 
 TEST(ShareLevels, SharingReducesTraversalFetches) {
   rts::Runtime rt({4, 1});
-  typename CacheManager<CentroidData>::StatsSnapshot none{}, shared{};
+  obs::MetricsRegistry none, shared;
   runWithShare(rt, 0, &none);
   runWithShare(rt, 4, &shared);
-  EXPECT_GT(none.requests_sent, shared.requests_sent);
-  EXPECT_GT(shared.preloaded_nodes, 0u);
-  EXPECT_EQ(none.preloaded_nodes, 0u);
+  EXPECT_GT(none.counter("cache.misses").value(),
+            shared.counter("cache.misses").value());
+  EXPECT_GT(shared.counter("cache.preloaded_nodes").value(), 0u);
+  EXPECT_EQ(none.counter("cache.preloaded_nodes").value(), 0u);
 }
 
 TEST(ShareLevels, DeepSharingEliminatesMostFetches) {
   rts::Runtime rt({3, 1});
-  typename CacheManager<CentroidData>::StatsSnapshot deep{};
+  obs::MetricsRegistry deep;
   runWithShare(rt, 30, &deep);  // deeper than any subtree: everything shared
-  EXPECT_EQ(deep.requests_sent, 0u);
+  EXPECT_EQ(deep.counter("cache.misses").value(), 0u);
 }
 
 TEST(ShareLevels, SingleProcIsNoop) {
   rts::Runtime rt({1, 2});
-  typename CacheManager<CentroidData>::StatsSnapshot stats{};
-  runWithShare(rt, 3, &stats);
-  EXPECT_EQ(stats.preloaded_nodes, 0u);  // nothing is remote
+  obs::MetricsRegistry counts;
+  runWithShare(rt, 3, &counts);
+  // Nothing is remote.
+  EXPECT_EQ(counts.counter("cache.preloaded_nodes").value(), 0u);
 }
 
 /// Driver with periodic load balancing (Configuration::lb_period).

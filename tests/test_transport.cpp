@@ -218,7 +218,9 @@ TEST(TransportConfigSuite, MakeTransportRejectsAnInvalidConfig) {
 // --- the Message envelope --------------------------------------------------
 
 TEST(SendEnvelope, MessageAndLegacyOverloadBothDeliver) {
+  obs::MetricsRegistry counts;  // declared first: outlives the runtime
   rts::Runtime rt({2, 1});
+  rt.attachMetrics(&counts);
   std::atomic<int> envelope{0};
   std::atomic<int> legacy{0};
 
@@ -234,9 +236,8 @@ TEST(SendEnvelope, MessageAndLegacyOverloadBothDeliver) {
 
   EXPECT_EQ(envelope.load(), 1);
   EXPECT_EQ(legacy.load(), 1);
-  const auto stats = rt.stats();
-  EXPECT_EQ(stats.messages, 2u);
-  EXPECT_EQ(stats.bytes, 96u);
+  EXPECT_EQ(counts.counter("rts.messages").value(), 2u);
+  EXPECT_EQ(counts.counter("rts.message_bytes").value(), 96u);
 }
 
 TEST(SendEnvelope, SelfSendRunsOnTheSendersRank) {
