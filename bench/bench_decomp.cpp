@@ -130,8 +130,8 @@ int main(int argc, char** argv) {
   std::string out = "BENCH_decomp.json";
   bench::ArgParser args(argc, argv);
   args.flag("--out=", out);
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 200000;
-  const int reps = argc > 2 ? std::atoi(argv[2]) : 5;
+  const std::size_t n = args.positional<std::size_t>(1, 200000, 1);
+  const int reps = args.positional(2, 5, 1);
   const std::vector<int> worker_counts{1, 2, 4, 8};
 
   bench::printHeader("Decomposition",

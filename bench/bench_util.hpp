@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -45,6 +46,8 @@ namespace paratreet::bench {
 ///   kernel()          --kernel=visitor|batched
 ///   transport()       --transport=inproc|tcp --tcp-host=<ip> --tcp-port=<n>
 ///                     --heartbeat-ms=T --miss-threshold=N
+/// and, once the flags are stripped, positional(i, fallback, min) for
+/// each numeric positional argument.
 class ArgParser {
  public:
   ArgParser(int& argc, char** argv) : argc_(argc), argv_(argv) {}
@@ -76,13 +79,22 @@ class ArgParser {
   bool numberFlag(std::string_view name, T& out) {
     std::string value;
     if (!flag(name, value)) return false;
-    const char* last = value.data() + value.size();
-    const auto [end, ec] = std::from_chars(value.data(), last, out);
-    if (ec != std::errc{} || end != last) {
-      usageError(std::string(name).c_str(),
-                 std::is_integral_v<T> ? "an integer" : "a number", value);
-    }
+    out = parseNumber<T>(std::string(name), value,
+                         std::numeric_limits<T>::lowest());
     return true;
+  }
+
+  /// The numeric positional argument `index` (argv[index] once the flags
+  /// are stripped, so call it after every flag accessor), or `fallback`
+  /// when there are fewer arguments. Parsed like numberFlag(); a value
+  /// below `min` is rejected the same way (pass 1 for counts such as
+  /// particles, procs, workers, iterations, reps and steps).
+  template <typename T>
+  T positional(int index, T fallback,
+               T min = std::numeric_limits<T>::lowest()) {
+    if (index >= argc_) return fallback;
+    return parseNumber<T>("argument " + std::to_string(index), argv_[index],
+                          min);
   }
 
   /// Strip every occurrence of the bare flag `--<name>` (no '=value');
@@ -265,6 +277,21 @@ class ArgParser {
   }
 
  private:
+  template <typename T>
+  static T parseNumber(const std::string& name, std::string_view text, T min) {
+    T value{};
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (ec != std::errc{} || end != last || value < min) {
+      std::string expected = std::is_integral_v<T> ? "an integer" : "a number";
+      if (min > std::numeric_limits<T>::lowest()) {
+        expected += " >= " + std::to_string(min);
+      }
+      usageError(name.c_str(), expected.c_str(), std::string(text));
+    }
+    return value;
+  }
+
   [[noreturn]] static void usageError(const char* name, const char* expected,
                                       const std::string& got) {
     std::fprintf(stderr, "%s expects %s, got '%s'\n", name, expected,

@@ -114,8 +114,8 @@ Series runChanga(std::size_t n, int procs, int workers, int iterations,
 int main(int argc, char** argv) {
   bench::ArgParser args(argc, argv);
   const EvalKernel kernel = args.kernel();
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
-  const int iterations = argc > 2 ? std::atoi(argv[2]) : 2;
+  const std::size_t n = args.positional<std::size_t>(1, 20000, 1);
+  const int iterations = args.positional(2, 2, 1);
 
   bench::printHeader("Fig 10",
                      "ParaTreeT vs ChaNGa, monopole BH, SFC + octree");

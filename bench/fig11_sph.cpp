@@ -48,9 +48,10 @@ Result timeIterations(Forest<SphData, OctTreeType>& forest, int iterations,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 10000;
-  const int iterations = argc > 2 ? std::atoi(argv[2]) : 2;
-  const int k = argc > 3 ? std::atoi(argv[3]) : 32;
+  bench::ArgParser args(argc, argv);
+  const std::size_t n = args.positional<std::size_t>(1, 10000, 1);
+  const int iterations = args.positional(2, 2, 1);
+  const int k = args.positional(3, 32, 1);
 
   bench::printHeader("Fig 11", "SPH: ParaTreeT (kNN) vs Gadget-2 (fixed-ball)");
   std::printf("dataset: %zu clustered gas particles, k=%d, %d iterations "

@@ -22,9 +22,10 @@
 using namespace paratreet;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 4000;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 1000;
-  const double dt = argc > 3 ? std::atof(argv[3]) : 0.05;
+  bench::ArgParser args(argc, argv);
+  const std::size_t n = args.positional<std::size_t>(1, 4000, 1);
+  const int steps = args.positional(2, 1000, 1);
+  const double dt = args.positional(3, 0.05);
 
   bench::printHeader("Fig 12", "planetesimal collision profile near resonances");
 

@@ -113,8 +113,8 @@ Result runChanga(const InitialConditions& ic, int procs, int workers,
 int main(int argc, char** argv) {
   bench::ArgParser args(argc, argv);
   const std::string metrics_out = args.metricsOut();
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 10000;
-  const int iterations = argc > 2 ? std::atoi(argv[2]) : 2;
+  const std::size_t n = args.positional<std::size_t>(1, 10000, 1);
+  const int iterations = args.positional(2, 2, 1);
   // With --metrics-out, every ParaTreeT series accumulates into one
   // registry (counters are process-global sums across the whole sweep).
   Observability ob;

@@ -86,8 +86,9 @@ Result run(std::size_t n, int procs, int workers, CacheModel model,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
-  const int iterations = argc > 2 ? std::atoi(argv[2]) : 2;
+  bench::ArgParser args(argc, argv);
+  const std::size_t n = args.positional<std::size_t>(1, 20000, 1);
+  const int iterations = args.positional(2, 2, 1);
 
   bench::printHeader("Fig 3",
                      "software-cache models, Barnes-Hut on a clustered volume");

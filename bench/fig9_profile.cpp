@@ -21,9 +21,9 @@ using namespace paratreet;
 int main(int argc, char** argv) {
   bench::ArgParser args(argc, argv);
   const std::string metrics_out = args.metricsOut();
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 40000;
-  const int procs = argc > 2 ? std::atoi(argv[2]) : 4;
-  const int workers = argc > 3 ? std::atoi(argv[3]) : 2;
+  const std::size_t n = args.positional<std::size_t>(1, 40000, 1);
+  const int procs = args.positional(2, 4, 1);
+  const int workers = args.positional(3, 2, 1);
 
   bench::printHeader("Fig 9", "activity profile of the parallel BH traversal");
   std::printf("dataset: %zu uniform particles, %d procs x %d workers, "

@@ -91,10 +91,11 @@ Result run(std::size_t n, int procs, int workers, LoadBalancer* lb,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
-  const int iterations = argc > 2 ? std::atoi(argv[2]) : 4;
-  const int procs = argc > 3 ? std::atoi(argv[3]) : 4;
-  const int workers = argc > 4 ? std::atoi(argv[4]) : 2;
+  bench::ArgParser args(argc, argv);
+  const std::size_t n = args.positional<std::size_t>(1, 20000, 1);
+  const int iterations = args.positional(2, 4, 1);
+  const int procs = args.positional(3, 4, 1);
+  const int workers = args.positional(4, 2, 1);
 
   bench::printHeader("LB ablation",
                      "measured-load rebalancing on a clustered volume");

@@ -167,8 +167,9 @@ Row summarize(const SmpHierarchy& mem, double clock_ghz) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 10000;
-  const int bucket_size = argc > 2 ? std::atoi(argv[2]) : 16;
+  bench::ArgParser args(argc, argv);
+  const std::size_t n = args.positional<std::size_t>(1, 10000, 1);
+  const int bucket_size = args.positional(2, 16, 1);
 
   bench::printHeader("Table II",
                      "cache utilization, ParaTreeT vs ChaNGa traversal order");

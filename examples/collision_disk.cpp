@@ -10,16 +10,18 @@
 #include <cstdlib>
 
 #include "apps/collision/disk_sim.hpp"
+#include "bench/bench_util.hpp"
 #include "util/histogram.hpp"
 #include "util/timer.hpp"
 
 using namespace paratreet;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 5000;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 40;
-  const int procs = argc > 3 ? std::atoi(argv[3]) : 2;
-  const int workers = argc > 4 ? std::atoi(argv[4]) : 2;
+  bench::ArgParser args(argc, argv);
+  const std::size_t n = args.positional<std::size_t>(1, 5000, 1);
+  const int steps = args.positional(2, 40, 1);
+  const int procs = args.positional(3, 2, 1);
+  const int workers = args.positional(4, 2, 1);
 
   rts::Runtime rt({procs, workers});
   Configuration conf;

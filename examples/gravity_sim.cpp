@@ -139,10 +139,10 @@ int main(int argc, char** argv) {
     cli.transport.heartbeat_interval_ms = 100.0;
     cli.transport.miss_threshold = 3;
   }
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 5000;
-  const int steps = argc > 2 ? std::atoi(argv[2]) : 10;
-  const int procs = argc > 3 ? std::atoi(argv[3]) : 2;
-  const int workers = argc > 4 ? std::atoi(argv[4]) : 2;
+  const std::size_t n = args.positional<std::size_t>(1, 5000, 1);
+  const int steps = args.positional(2, 10, 1);
+  const int procs = args.positional(3, 2, 1);
+  const int workers = args.positional(4, 2, 1);
 
   rts::Runtime::Config rt_config;
   rt_config.n_procs = procs;

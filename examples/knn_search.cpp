@@ -12,16 +12,18 @@
 
 #include "apps/sph/knn.hpp"
 #include "apps/sph/sph.hpp"
+#include "bench/bench_util.hpp"
 #include "core/forest.hpp"
 #include "util/timer.hpp"
 
 using namespace paratreet;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20000;
-  const int k = argc > 2 ? std::atoi(argv[2]) : 8;
-  const int procs = argc > 3 ? std::atoi(argv[3]) : 2;
-  const int workers = argc > 4 ? std::atoi(argv[4]) : 2;
+  bench::ArgParser args(argc, argv);
+  const std::size_t n = args.positional<std::size_t>(1, 20000, 1);
+  const int k = args.positional(2, 8, 1);
+  const int procs = args.positional(3, 2, 1);
+  const int workers = args.positional(4, 2, 1);
 
   rts::Runtime rt({procs, workers});
   Configuration conf;

@@ -6,16 +6,17 @@
 // Usage: make_dataset <uniform|plummer|clustered|disk> <n> <seed> <out> [--csv]
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "bench/bench_util.hpp"
 #include "util/distributions.hpp"
 #include "util/snapshot.hpp"
 
 using namespace paratreet;
 
 int main(int argc, char** argv) {
+  bench::ArgParser args(argc, argv);
+  const bool csv = args.boolFlag("--csv");
   if (argc < 5) {
     std::fprintf(stderr,
                  "usage: %s <uniform|plummer|clustered|disk> <n> <seed> "
@@ -24,10 +25,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string kind = argv[1];
-  const std::size_t n = std::strtoul(argv[2], nullptr, 10);
-  const std::uint64_t seed = std::strtoul(argv[3], nullptr, 10);
+  const std::size_t n = args.positional<std::size_t>(2, 0, 1);
+  const std::uint64_t seed = args.positional<std::uint64_t>(3, 0);
   const std::string out = argv[4];
-  const bool csv = argc > 5 && std::strcmp(argv[5], "--csv") == 0;
 
   InitialConditions ic;
   if (kind == "uniform") ic = uniformCube(n, seed);

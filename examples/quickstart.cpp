@@ -108,9 +108,9 @@ int main(int argc, char** argv) {
   // (out-of-range --checkpoint-keep etc. is rejected, not ignored).
   Configuration ckpt_flags;
   args.checkpointInto(ckpt_flags);
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 10000;
-  const int procs = argc > 2 ? std::atoi(argv[2]) : 2;
-  const int workers = argc > 3 ? std::atoi(argv[3]) : 2;
+  const std::size_t n = args.positional<std::size_t>(1, 10000, 1);
+  const int procs = args.positional(2, 2, 1);
+  const int workers = args.positional(3, 2, 1);
 
   // --- 3. Configure and run. ----------------------------------------------
   rts::Runtime::Config rt_config;

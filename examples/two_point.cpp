@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "apps/statistics/two_point.hpp"
+#include "bench/bench_util.hpp"
 #include "core/forest.hpp"
 #include "util/timer.hpp"
 
@@ -36,9 +37,10 @@ void pairCounts(rts::Runtime& rt, const InitialConditions& ic,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 10000;
-  const int procs = argc > 2 ? std::atoi(argv[2]) : 2;
-  const int workers = argc > 3 ? std::atoi(argv[3]) : 2;
+  bench::ArgParser args(argc, argv);
+  const std::size_t n = args.positional<std::size_t>(1, 10000, 1);
+  const int procs = args.positional(2, 2, 1);
+  const int workers = args.positional(3, 2, 1);
 
   rts::Runtime rt({procs, workers});
   const double r_min = 0.01, r_max = 0.5;

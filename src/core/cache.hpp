@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cassert>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -227,21 +226,28 @@ class CacheManager {
   }
 
   /// Pause a traversal on unfetched placeholder `ph`: fire the fetch if
-  /// this is the first request, and schedule `resume` to run (as a fresh
-  /// task on this process) once the data is published. If the data
-  /// arrived concurrently, `resume` is enqueued immediately.
-  void requestThenResume(Node<Data>* ph, std::function<void()> resume,
-                         int worker_slot) {
+  /// this is the first request, and once the data is published run
+  /// `resume(node)` as a fresh task on this process, `node` being the
+  /// published replacement of `ph` (see published()). If the data arrived
+  /// concurrently, the task is enqueued immediately. `resume` becomes
+  /// part of that one task, so a pause allocates no more than the task
+  /// and the waiter that parks it.
+  template <typename Resume>
+  void requestThenResume(Node<Data>* ph, Resume resume, int worker_slot) {
     rts::ActivityScope scope(opts_.instr.profiler, rts::Activity::kCacheRequest);
     bump(metrics_.pauses);
+    rts::Task task = [this, ph, worker_slot,
+                      resume = std::move(resume)]() mutable {
+      resume(published(ph, worker_slot));
+    };
     if (opts_.model == CacheModel::kPerThread) {
-      requestPerThread(ph, std::move(resume), worker_slot);
+      requestPerThread(ph, std::move(task), worker_slot);
       return;
     }
     const bool first = !ph->requested.exchange(true, std::memory_order_acq_rel);
     if (first) sendRequest(ph, worker_slot);
     else bump(metrics_.shared_waits);
-    auto* w = new Waiter{nullptr, std::move(resume)};
+    auto* w = new Waiter{nullptr, std::move(task)};
     if (!ph->addWaiter(w)) {
       // Already published: the parent's child link holds the fresh node.
       bump(metrics_.hits);
@@ -299,10 +305,33 @@ class CacheManager {
     if (c != nullptr) c->add(delta);
   }
 
+  /// The node that replaced placeholder `ph` once its fill was published:
+  /// the requesting worker's private copy under kPerThread, otherwise the
+  /// parent's child with the placeholder's key, or the root.
+  Node<Data>* published(const Node<Data>* ph, int worker_slot) {
+    rts::ActivityScope scope(opts_.instr.profiler,
+                             rts::Activity::kTraversalResumption);
+    Node<Data>* fresh = opts_.model == CacheModel::kPerThread
+                            ? resolvePrivate(ph, worker_slot)
+                        : ph->parent != nullptr
+                            ? findChildByKey(ph->parent, ph->key)
+                            : root();
+    assert(fresh != nullptr && !fresh->placeholder());
+    return fresh;
+  }
+
+  static Node<Data>* findChildByKey(const Node<Data>* parent, Key key) {
+    for (int c = 0; c < parent->n_children; ++c) {
+      Node<Data>* child = parent->child(c);
+      if (child != nullptr && child->key == key) return child;
+    }
+    return nullptr;
+  }
+
   struct WorkerEntry {
     bool filled = false;
     Node<Data>* node = nullptr;
-    std::vector<std::function<void()>> waiters;
+    std::vector<rts::Task> waiters;
   };
 
   struct WorkerCache {
@@ -624,8 +653,7 @@ class CacheManager {
     }
   }
 
-  void requestPerThread(Node<Data>* ph, std::function<void()> resume,
-                        int worker_slot) {
+  void requestPerThread(Node<Data>* ph, rts::Task resume, int worker_slot) {
     auto& wc = *worker_caches_[static_cast<std::size_t>(worker_slot)];
     bool is_new = false;
     {
@@ -649,7 +677,7 @@ class CacheManager {
     // Private copies never alias local subtree roots: sharing them would
     // reintroduce the cross-thread sharing this model exists to avoid.
     Node<Data>* fresh = materialize(block, *node_block, false);
-    std::vector<std::function<void()>> waiters;
+    std::vector<rts::Task> waiters;
     {
       std::lock_guard lock(wc.mutex);
       wc.blocks.push_back(std::move(node_block));

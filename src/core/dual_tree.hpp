@@ -1,8 +1,6 @@
 #pragma once
 
-#include <cassert>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/cache.hpp"
@@ -119,14 +117,12 @@ template <typename Data, typename Visitor>
 class DualTreeTraverser final : public TraverserBase {
  public:
   DualTreeTraverser(Partition<Data>& partition, CacheManager<Data>& cache,
-                    rts::Runtime& rt, Visitor visitor = {},
-                    rts::ActivityProfiler* profiler = nullptr)
-      : partition_(partition), cache_(cache), rt_(rt),
-        visitor_(std::move(visitor)), profiler_(profiler),
-        targets_(partition) {}
+                    Visitor visitor = {}, Instrumentation instr = {})
+      : partition_(partition), cache_(cache), visitor_(std::move(visitor)),
+        instr_(instr), targets_(partition) {}
 
   void start() {
-    rts::ActivityScope scope(profiler_, rts::Activity::kLocalTraversal);
+    rts::ActivityScope scope(instr_.profiler, rts::Activity::kLocalTraversal);
     std::lock_guard run(partition_.run_mutex);
     LoadScope<Data> load(partition_);
     if (targets_.empty()) return;
@@ -201,34 +197,10 @@ class DualTreeTraverser final : public TraverserBase {
         }
         return;
       case NodeType::kRemote:
-      case NodeType::kRemoteLeaf: {
-        const int slot = rts::Runtime::currentWorker();
-        if (cache_.options().model == CacheModel::kPerThread) {
-          if (Node<Data>* priv = cache_.resolvePrivate(src, slot)) {
-            singleTarget(priv, b);
-            return;
-          }
-        }
-        Node<Data>* parent = src->parent;
-        const Key key = src->key;
-        cache_.requestThenResume(
-            src,
-            [this, parent, src, key, slot, b] {
-              Node<Data>* fresh =
-                  cache_.options().model == CacheModel::kPerThread
-                      ? cache_.resolvePrivate(src, slot)
-                  : parent != nullptr ? findChildByKey(parent, key)
-                                      : cache_.root();
-              assert(fresh != nullptr && !fresh->placeholder());
-              rts::ActivityScope scope(profiler_,
-                                       rts::Activity::kRemoteTraversal);
-              std::lock_guard run(partition_.run_mutex);
-              LoadScope<Data> load(partition_);
-              singleTarget(fresh, b);
-            },
-            slot);
+      case NodeType::kRemoteLeaf:
+        pauseAt(src, cache_, partition_, instr_.profiler,
+                [this, b](Node<Data>* n) { singleTarget(n, b); });
         return;
-      }
       case NodeType::kEmptyLeaf:
         return;
     }
@@ -236,9 +208,8 @@ class DualTreeTraverser final : public TraverserBase {
 
   Partition<Data>& partition_;
   CacheManager<Data>& cache_;
-  rts::Runtime& rt_;
   Visitor visitor_;
-  rts::ActivityProfiler* profiler_;
+  Instrumentation instr_;
   TargetTree<Data> targets_;
 };
 

@@ -352,24 +352,8 @@ class Forest {
   void traverse(V visitor = {},
                 TraversalStyle style = TraversalStyle::kTransposed,
                 EvalKernel kernel = EvalKernel::kVisitor) {
-    obs::TraceSpan span(instr_.trace, "traverse.top_down", "traversal");
-    // Traversers live in a member, not a local: if the drain watchdog
-    // throws (rank crash), stale resume closures still queued on live
-    // ranks must keep pointing at live traversers until abortTraversals().
-    active_traversers_.clear();
-    active_traversers_.reserve(partitions_.size());
-    for (auto& pp : partitions_) {
-      Partition<Data>* part = pp.get();
-      auto trav = std::make_unique<TopDownTraverser<Data, V>>(
-          *part, caches_[static_cast<std::size_t>(part->home_proc)], rt_,
-          visitor, style, kernel, conf_.batch_drain, instr_);
-      auto* raw = trav.get();
-      active_traversers_.push_back(std::move(trav));
-      rt_.enqueue(part->home_proc, [raw] { raw->start(); });
-    }
-    rt_.drain();
-    finishTraversers(active_traversers_);
-    active_traversers_.clear();
+    launch<TopDownTraverser<Data, V>>("traverse.top_down", rt_, visitor,
+                                      style, kernel, conf_.batch_drain);
   }
 
   /// Run an up-and-down traversal (k-nearest-neighbour style). The
@@ -379,41 +363,15 @@ class Forest {
   template <typename V>
   void traverseUpAndDown(V visitor = {},
                          EvalKernel kernel = EvalKernel::kVisitor) {
-    obs::TraceSpan span(instr_.trace, "traverse.up_and_down", "traversal");
-    active_traversers_.clear();
-    active_traversers_.reserve(partitions_.size());
-    for (auto& pp : partitions_) {
-      Partition<Data>* part = pp.get();
-      auto trav = std::make_unique<UpAndDownTraverser<Data, V>>(
-          *part, caches_[static_cast<std::size_t>(part->home_proc)], rt_,
-          visitor, kernel, conf_.batch_drain, instr_);
-      auto* raw = trav.get();
-      active_traversers_.push_back(std::move(trav));
-      rt_.enqueue(part->home_proc, [raw] { raw->start(); });
-    }
-    rt_.drain();
-    finishTraversers(active_traversers_);
-    active_traversers_.clear();
+    launch<UpAndDownTraverser<Data, V>>("traverse.up_and_down", rt_, visitor,
+                                        kernel, conf_.batch_drain);
   }
 
   /// Run a dual-tree traversal with visitor `V` (cell()-driven) over
   /// every Partition and wait for completion.
   template <typename V>
   void traverseDualTree(V visitor = {}) {
-    obs::TraceSpan span(instr_.trace, "traverse.dual_tree", "traversal");
-    active_traversers_.clear();
-    active_traversers_.reserve(partitions_.size());
-    for (auto& pp : partitions_) {
-      Partition<Data>* part = pp.get();
-      auto trav = std::make_unique<DualTreeTraverser<Data, V>>(
-          *part, caches_[static_cast<std::size_t>(part->home_proc)], rt_,
-          visitor, instr_.profiler);
-      auto* raw = trav.get();
-      active_traversers_.push_back(std::move(trav));
-      rt_.enqueue(part->home_proc, [raw] { raw->start(); });
-    }
-    rt_.drain();
-    active_traversers_.clear();
+    launch<DualTreeTraverser<Data, V>>("traverse.dual_tree", visitor);
   }
 
   /// Run a best-first (priority-driven) traversal with visitor `V` over
@@ -421,20 +379,7 @@ class Forest {
   /// describes for e.g. ray tracing.
   template <typename V>
   void traversePriority(V visitor = {}) {
-    obs::TraceSpan span(instr_.trace, "traverse.priority", "traversal");
-    active_traversers_.clear();
-    active_traversers_.reserve(partitions_.size());
-    for (auto& pp : partitions_) {
-      Partition<Data>* part = pp.get();
-      auto trav = std::make_unique<PriorityTraverser<Data, V>>(
-          *part, caches_[static_cast<std::size_t>(part->home_proc)], rt_,
-          visitor, instr_.profiler);
-      auto* raw = trav.get();
-      active_traversers_.push_back(std::move(trav));
-      rt_.enqueue(part->home_proc, [raw] { raw->start(); });
-    }
-    rt_.drain();
-    active_traversers_.clear();
+    launch<PriorityTraverser<Data, V>>("traverse.priority", visitor);
   }
 
   /// Measured traversal load of every Partition (seconds, last
@@ -659,17 +604,37 @@ class Forest {
   }
 
  private:
-  /// Post-quiescence phase: each traverser's finish() (the batched
-  /// evaluation + counter flush) runs as one task on its Partition's home
-  /// process, then we wait for global completion again. Traverser i
-  /// belongs to partitions_[i] (same construction order).
-  void finishTraversers(
-      const std::vector<std::unique_ptr<TraverserBase>>& traversers) {
-    for (std::size_t i = 0; i < traversers.size(); ++i) {
-      TraverserBase* raw = traversers[i].get();
+  /// The one traversal launcher: build a `Traverser(partition, cache,
+  /// args..., instrumentation)` per Partition, seed each on its home
+  /// process and wait for quiescence. Then each traverser's finish() (the
+  /// batched evaluation + counter flush; a no-op for traversers without
+  /// a deferred phase) runs as one task on its Partition's home process,
+  /// and we wait for global completion again.
+  template <typename Traverser, typename... Args>
+  void launch(const char* span_name, Args&... args) {
+    obs::TraceSpan span(instr_.trace, span_name, "traversal");
+    // Traversers live in a member, not a local: if the drain watchdog
+    // throws (rank crash), stale resume closures still queued on live
+    // ranks must keep pointing at live traversers until abortTraversals().
+    active_traversers_.clear();
+    active_traversers_.reserve(partitions_.size());
+    for (auto& pp : partitions_) {
+      Partition<Data>* part = pp.get();
+      auto trav = std::make_unique<Traverser>(
+          *part, caches_[static_cast<std::size_t>(part->home_proc)], args...,
+          instr_);
+      auto* raw = trav.get();
+      active_traversers_.push_back(std::move(trav));
+      rt_.enqueue(part->home_proc, [raw] { raw->start(); });
+    }
+    rt_.drain();
+    // Traverser i belongs to partitions_[i] (same construction order).
+    for (std::size_t i = 0; i < active_traversers_.size(); ++i) {
+      TraverserBase* raw = active_traversers_[i].get();
       rt_.enqueue(partitions_[i]->home_proc, [raw] { raw->finish(); });
     }
     rt_.drain();
+    active_traversers_.clear();
   }
 
   /// Reset the per-iteration outputs visitors write (flush and restore).
@@ -804,7 +769,7 @@ class Forest {
   /// Ranks chares may be placed on; refreshed by decompose().
   std::vector<int> live_procs_;
   /// The running (or crash-aborted) traversal's traversers; see
-  /// traverse() and abortTraversals() for the lifetime contract.
+  /// launch() and abortTraversals() for the lifetime contract.
   std::vector<std::unique_ptr<TraverserBase>> active_traversers_;
 };
 

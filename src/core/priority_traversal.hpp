@@ -1,8 +1,6 @@
 #pragma once
 
-#include <cassert>
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <vector>
 
@@ -29,13 +27,12 @@ template <typename Data, typename Visitor>
 class PriorityTraverser final : public TraverserBase {
  public:
   PriorityTraverser(Partition<Data>& partition, CacheManager<Data>& cache,
-                    rts::Runtime& rt, Visitor visitor = {},
-                    rts::ActivityProfiler* profiler = nullptr)
-      : partition_(partition), cache_(cache), rt_(rt),
-        visitor_(std::move(visitor)), profiler_(profiler) {}
+                    Visitor visitor = {}, Instrumentation instr = {})
+      : partition_(partition), cache_(cache), visitor_(std::move(visitor)),
+        instr_(instr) {}
 
   void start() {
-    rts::ActivityScope scope(profiler_, rts::Activity::kLocalTraversal);
+    rts::ActivityScope scope(instr_.profiler, rts::Activity::kLocalTraversal);
     std::lock_guard run(partition_.run_mutex);
     LoadScope<Data> load(partition_);
     for (std::uint32_t b = 0; b < partition_.buckets.size(); ++b) {
@@ -94,40 +91,17 @@ class PriorityTraverser final : public TraverserBase {
   }
 
   void pause(Node<Data>* ph, Frontier frontier, std::uint32_t b) {
-    const int slot = rts::Runtime::currentWorker();
-    if (cache_.options().model == CacheModel::kPerThread) {
-      if (Node<Data>* priv = cache_.resolvePrivate(ph, slot)) {
-        push(frontier, priv, b);
-        drain(std::move(frontier), b);
-        return;
-      }
-    }
-    Node<Data>* parent = ph->parent;
-    const Key key = ph->key;
-    auto state = std::make_shared<Frontier>(std::move(frontier));
-    cache_.requestThenResume(
-        ph,
-        [this, parent, ph, key, slot, state, b] {
-          Node<Data>* fresh =
-              cache_.options().model == CacheModel::kPerThread
-                  ? cache_.resolvePrivate(ph, slot)
-              : parent != nullptr ? findChildByKey(parent, key)
-                                  : cache_.root();
-          assert(fresh != nullptr && !fresh->placeholder());
-          rts::ActivityScope scope(profiler_, rts::Activity::kRemoteTraversal);
-          std::lock_guard run(partition_.run_mutex);
-          LoadScope<Data> load(partition_);
-          push(*state, fresh, b);
-          drain(std::move(*state), b);
-        },
-        slot);
+    pauseAt(ph, cache_, partition_, instr_.profiler,
+            [this, b, frontier = std::move(frontier)](Node<Data>* n) mutable {
+              push(frontier, n, b);
+              drain(std::move(frontier), b);
+            });
   }
 
   Partition<Data>& partition_;
   CacheManager<Data>& cache_;
-  rts::Runtime& rt_;
   Visitor visitor_;
-  rts::ActivityProfiler* profiler_;
+  Instrumentation instr_;
 };
 
 }  // namespace paratreet

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
 
@@ -74,15 +73,50 @@ class LoadScope {
   WallTimer timer_;
 };
 
-/// Find a node's child holding `key` (used to re-locate a fetched node
-/// after its placeholder was swapped out).
-template <typename Data>
-Node<Data>* findChildByKey(Node<Data>* parent, Key key) {
-  for (int c = 0; c < parent->n_children; ++c) {
-    Node<Data>* child = parent->child(c);
-    if (child != nullptr && child->key == key) return child;
+/// The one pause-and-resume path of every traverser. The walk stopped at
+/// remote placeholder `ph`, and `walk(node)` continues it at a node.
+///  - kPerThread, with the node already in this worker's private cache:
+///    `walk` runs at once, as part of the current unit.
+///  - Otherwise `pause()` runs, still inside the pausing unit, and returns
+///    the continuation to resume. The cache requests the node; the resumed
+///    task takes the Partition's run_mutex, a LoadScope and the
+///    kRemoteTraversal scope, then calls the continuation with the
+///    published node (CacheManager::requestThenResume finds it).
+/// A recording traverser defers its buckets in `pause()` and returns a
+/// continuation that retires them; the others resume `walk` itself.
+/// Kept out of line: pauses are rare, and inlined into a recursive walk
+/// this cold path would enlarge every frame of the hot loop.
+template <typename Data, typename Walk, typename Pause>
+[[gnu::noinline]] void pauseAt(Node<Data>* ph, CacheManager<Data>& cache,
+                               Partition<Data>& partition,
+                               rts::ActivityProfiler* profiler, Walk&& walk,
+                               Pause&& pause) {
+  const int slot = rts::Runtime::currentWorker();
+  if (cache.options().model == CacheModel::kPerThread) {
+    if (Node<Data>* priv = cache.resolvePrivate(ph, slot)) {
+      walk(priv);
+      return;
+    }
   }
-  return nullptr;
+  cache.requestThenResume(
+      ph,
+      [&partition, profiler, next = pause()](Node<Data>* fresh) mutable {
+        rts::ActivityScope scope(profiler, rts::Activity::kRemoteTraversal);
+        std::lock_guard run(partition.run_mutex);
+        LoadScope<Data> load(partition);
+        next(fresh);
+      },
+      slot);
+}
+
+/// pauseAt for a walk with no per-unit accounting (Priority, DualTree):
+/// the resumed task runs `walk` itself.
+template <typename Data, typename Walk>
+void pauseAt(Node<Data>* ph, CacheManager<Data>& cache,
+             Partition<Data>& partition, rts::ActivityProfiler* profiler,
+             Walk walk) {
+  pauseAt(ph, cache, partition, profiler, walk,
+          [&walk] { return std::move(walk); });
 }
 
 /// State shared by the single-tree traversers: the interaction-list
@@ -345,14 +379,13 @@ class TopDownTraverser final : public TraverserBase {
                    EvalKernel kernel = EvalKernel::kVisitor,
                    BatchDrain drain = BatchDrain::kOverlap,
                    Instrumentation instr = {})
-      : partition_(partition), cache_(cache), rt_(rt),
-        visitor_(std::move(visitor)), style_(style), instr_(instr),
-        profiler_(instr.profiler),
+      : partition_(partition), cache_(cache), visitor_(std::move(visitor)),
+        style_(style), instr_(instr),
         recorder_(partition, visitor_, kernel, drain, rt, instr) {}
 
   /// Seed the traversal; must run on a worker of the partition's process.
   void start() {
-    rts::ActivityScope scope(profiler_, rts::Activity::kLocalTraversal);
+    rts::ActivityScope scope(instr_.profiler, rts::Activity::kLocalTraversal);
     std::lock_guard run(partition_.run_mutex);
     LoadScope<Data> load(partition_);
     recorder_.prepare();
@@ -438,56 +471,31 @@ class TopDownTraverser final : public TraverserBase {
   }
 
   /// Defer `keep` until the placeholder's region is cached. The resume
-  /// re-locates the published node and re-enters dfs; open() is
-  /// re-evaluated there, which is safe because pruning predicates are
-  /// either pure geometry or shrink monotonically (kNN). Moving out of
-  /// the depth-scratch slot leaves it valid-empty for the next step.
-  /// The deferred buckets gain an outstanding unit before this walk
-  /// returns and the resume retires them — the seal accounting for the
-  /// overlapped drain.
+  /// re-enters dfs at the published node; open() is re-evaluated there,
+  /// which is safe because pruning predicates are either pure geometry or
+  /// shrink monotonically (kNN). Moving out of the depth-scratch slot
+  /// leaves it valid-empty for the next step. The deferred buckets gain
+  /// an outstanding unit before this walk returns and the resume retires
+  /// them — the seal accounting for the overlapped drain.
   void pause(Node<Data>* ph, TargetList keep) {
-    const int slot = rts::Runtime::currentWorker();
-    // kPerThread: the data may already sit in this worker's private cache
-    // (a synchronous continuation of the current unit: no defer/retire).
-    if (cache_.options().model == CacheModel::kPerThread) {
-      if (Node<Data>* priv = cache_.resolvePrivate(ph, slot)) {
-        dfs(priv, keep);
-        return;
-      }
-    }
-    recorder_.deferTargets(keep);
-    Node<Data>* parent = ph->parent;
-    const Key key = ph->key;
-    auto keep_ptr = std::make_shared<TargetList>(std::move(keep));
-    cache_.requestThenResume(
-        ph,
-        [this, parent, ph, key, slot, keep_ptr] {
-          Node<Data>* fresh = nullptr;
-          {
-            rts::ActivityScope res(profiler_, rts::Activity::kTraversalResumption);
-            fresh = cache_.options().model == CacheModel::kPerThread
-                        ? cache_.resolvePrivate(ph, slot)
-                    : parent != nullptr ? findChildByKey(parent, key)
-                                        : cache_.root();
-          }
-          assert(fresh != nullptr && !fresh->placeholder());
-          rts::ActivityScope scope(profiler_, rts::Activity::kRemoteTraversal);
-          std::lock_guard run(partition_.run_mutex);
-          LoadScope<Data> load(partition_);
-          typename Recorder::RecordScope rec(recorder_);
-          dfs(fresh, *keep_ptr);
-          recorder_.retireTargets(*keep_ptr);
-        },
-        slot);
+    pauseAt(
+        ph, cache_, partition_, instr_.profiler,
+        [&](Node<Data>* priv) { dfs(priv, keep); },
+        [&] {
+          recorder_.deferTargets(keep);
+          return [this, keep = std::move(keep)](Node<Data>* fresh) {
+            typename Recorder::RecordScope rec(recorder_);
+            dfs(fresh, keep);
+            recorder_.retireTargets(keep);
+          };
+        });
   }
 
   Partition<Data>& partition_;
   CacheManager<Data>& cache_;
-  rts::Runtime& rt_;
   Visitor visitor_;
   TraversalStyle style_;
   Instrumentation instr_;
-  rts::ActivityProfiler* profiler_;
   Recorder recorder_;
   std::deque<TargetList> scratch_;  ///< per-depth frontier scratch
 };
@@ -512,13 +520,12 @@ class UpAndDownTraverser final : public TraverserBase {
                      EvalKernel kernel = EvalKernel::kVisitor,
                      BatchDrain drain = BatchDrain::kOverlap,
                      Instrumentation instr = {})
-      : partition_(partition), cache_(cache), rt_(rt),
-        visitor_(std::move(visitor)), instr_(instr),
-        profiler_(instr.profiler),
+      : partition_(partition), cache_(cache), visitor_(std::move(visitor)),
+        instr_(instr),
         recorder_(partition, visitor_, kernel, drain, rt, instr) {}
 
   void start() {
-    rts::ActivityScope scope(profiler_, rts::Activity::kLocalTraversal);
+    rts::ActivityScope scope(instr_.profiler, rts::Activity::kLocalTraversal);
     std::lock_guard run(partition_.run_mutex);
     LoadScope<Data> load(partition_);
     recorder_.prepare();
@@ -548,7 +555,8 @@ class UpAndDownTraverser final : public TraverserBase {
     const Key leaf_key = partition_.buckets[b].leaf_key;
     while (true) {
       if (node->placeholder()) {
-        pauseOn(node, b, [this, b, path](Node<Data>* fresh) mutable {
+        pauseOn(node, b, [this, b, path = std::move(path)](
+                             Node<Data>* fresh) mutable {
           descend(fresh, b, std::move(path));
         });
         return;
@@ -571,12 +579,14 @@ class UpAndDownTraverser final : public TraverserBase {
     Node<Data>* own = path.back();
     // Nearest data first: the bucket's own leaf.
     dfsSingle(own, b);
+    // Skip the branch we came from by key: under kPerThread the path may
+    // hold a private copy while the ancestor still links the placeholder.
     for (std::size_t i = path.size(); i-- > 1;) {
-      Node<Data>* came_from = path[i];
+      const Key came_from = path[i]->key;
       Node<Data>* ancestor = path[i - 1];
       for (int c = 0; c < ancestor->n_children; ++c) {
         Node<Data>* child = ancestor->child(c);
-        if (child != nullptr && child != came_from) dfsSingle(child, b);
+        if (child != nullptr && child->key != came_from) dfsSingle(child, b);
       }
     }
   }
@@ -607,49 +617,25 @@ class UpAndDownTraverser final : public TraverserBase {
     }
   }
 
-  /// Shared pause helper: re-locate the fresh node and hand it to `next`.
-  /// Defers bucket `b` for the seal accounting; the resumed continuation
-  /// retires it after `next` (which may itself pause and defer again).
-  void pauseOn(Node<Data>* ph, std::uint32_t b,
-               std::function<void(Node<Data>*)> next) {
-    const int slot = rts::Runtime::currentWorker();
-    if (cache_.options().model == CacheModel::kPerThread) {
-      if (Node<Data>* priv = cache_.resolvePrivate(ph, slot)) {
-        next(priv);
-        return;
-      }
-    }
-    recorder_.deferTarget(b);
-    Node<Data>* parent = ph->parent;
-    const Key key = ph->key;
-    cache_.requestThenResume(
-        ph,
-        [this, parent, ph, key, slot, b, next = std::move(next)] {
-          Node<Data>* fresh = nullptr;
-          {
-            rts::ActivityScope res(profiler_, rts::Activity::kTraversalResumption);
-            fresh = cache_.options().model == CacheModel::kPerThread
-                        ? cache_.resolvePrivate(ph, slot)
-                    : parent != nullptr ? findChildByKey(parent, key)
-                                        : cache_.root();
-          }
-          assert(fresh != nullptr && !fresh->placeholder());
-          rts::ActivityScope scope(profiler_, rts::Activity::kRemoteTraversal);
-          std::lock_guard run(partition_.run_mutex);
-          LoadScope<Data> load(partition_);
-          typename Recorder::RecordScope rec(recorder_);
-          next(fresh);
-          recorder_.retireTarget(b);
-        },
-        slot);
+  /// Pause bucket `b`'s walk at `ph` and continue with `walk` at the
+  /// published node. Defers `b` for the seal accounting; the resumed unit
+  /// retires it after `walk` (which may itself pause and defer again).
+  template <typename Walk>
+  void pauseOn(Node<Data>* ph, std::uint32_t b, Walk walk) {
+    pauseAt(ph, cache_, partition_, instr_.profiler, walk, [&] {
+      recorder_.deferTarget(b);
+      return [this, b, walk = std::move(walk)](Node<Data>* fresh) mutable {
+        typename Recorder::RecordScope rec(recorder_);
+        walk(fresh);
+        recorder_.retireTarget(b);
+      };
+    });
   }
 
   Partition<Data>& partition_;
   CacheManager<Data>& cache_;
-  rts::Runtime& rt_;
   Visitor visitor_;
   Instrumentation instr_;
-  rts::ActivityProfiler* profiler_;
   Recorder recorder_;
 };
 

@@ -258,7 +258,9 @@ void killNineThenResume(const rts::TransportConfig& transport) {
   // The whole tree died by SIGKILL — nothing flushed, nothing exited
   // cleanly. (A machine fast enough to finish all 12 steps before the
   // kill still exercises resume below, but the common path is the kill.)
-  if (WIFSIGNALED(status)) EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  if (WIFSIGNALED(status)) {
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  }
 
   Configuration conf = durableEveryTwo(dir);
   conf.resume = true;

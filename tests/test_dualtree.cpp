@@ -85,9 +85,52 @@ INSTANTIATE_TEST_SUITE_P(ProcGrid, DualTreeTest,
                          ::testing::Combine(::testing::Values(1, 2, 3),
                                             ::testing::Values(1, 2)),
                          [](const auto& info) {
-                           return "p" + std::to_string(std::get<0>(info.param)) +
-                                  "_w" + std::to_string(std::get<1>(info.param));
+                           // Appended, not "p" + ...: GCC 12 -O3 misreports
+                           // that form under -Wrestrict.
+                           std::string name = "p";
+                           name += std::to_string(std::get<0>(info.param));
+                           name += "_w";
+                           name += std::to_string(std::get<1>(info.param));
+                           return name;
                          });
+
+// Every cache model on a multi-process runtime with one level per fill,
+// so single-target walks pause and, under kPerThread, also continue
+// synchronously on regions the worker's private cache already holds.
+class DualTreeCacheModelTest : public ::testing::TestWithParam<CacheModel> {};
+
+TEST_P(DualTreeCacheModelTest, PairCountsMatchBruteForce) {
+  rts::Runtime rt({3, 2});
+  Configuration conf = testConfig();
+  conf.min_partitions = 12;
+  conf.fetch_depth = 1;
+  conf.cache_model = GetParam();
+  obs::MetricsRegistry counts;
+  Forest<PairCountData, OctTreeType> forest(
+      rt, conf, Instrumentation{nullptr, &counts, nullptr});
+  auto particles = makeParticles(clustered(400, 77, 4, 0.05));
+  const auto reference = particles;
+  forest.load(std::move(particles));
+  forest.decompose();
+  forest.build();
+
+  PairHistogram dd(0.02, 1.0, 8);
+  forest.traverseDualTree<TwoPointVisitor>(TwoPointVisitor{&dd});
+  EXPECT_GT(counts.counter("cache.pauses").value(), 0u);
+
+  PairHistogram expected(0.02, 1.0, 8);
+  bruteForcePairCounts(reference, expected);
+  for (std::size_t b = 0; b < dd.bins(); ++b) {
+    EXPECT_EQ(dd.count(b), expected.count(b)) << "bin " << b;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, DualTreeCacheModelTest,
+                         ::testing::Values(CacheModel::kWaitFree,
+                                           CacheModel::kXWrite,
+                                           CacheModel::kPerThread,
+                                           CacheModel::kSingleInserter),
+                         [](const auto& info) { return toString(info.param); });
 
 TEST(DualTreeTest, UniformInputMatchesBruteForce) {
   rts::Runtime rt({2, 2});

@@ -501,5 +501,48 @@ TEST(DurableConfig, CheckpointFlagsRejectMalformedNumbers) {
               "--drain-deadline-ms= expects a number, got '1.5s'");
 }
 
+/// ArgParser over `args` (argv[0] is prepended), with --metrics-out
+/// stripped first as the binaries do.
+struct CommandLine {
+  explicit CommandLine(std::vector<std::string> args) : words(std::move(args)) {
+    words.insert(words.begin(), "bench");
+    for (auto& w : words) argv.push_back(w.data());
+    argc = static_cast<int>(argv.size());
+    parser().metricsOut();
+  }
+  bench::ArgParser parser() { return bench::ArgParser(argc, argv.data()); }
+
+  std::vector<std::string> words;
+  std::vector<char*> argv;
+  int argc = 0;
+};
+
+TEST(ArgParser, PositionalArgumentsParseWholeNumbers) {
+  CommandLine cl({"1000", "--metrics-out=-", "3", "0.25"});
+  EXPECT_EQ(cl.parser().positional<std::size_t>(1, 7, 1), 1000u);
+  EXPECT_EQ(cl.parser().positional(2, 2, 1), 3);
+  EXPECT_EQ(cl.parser().positional(3, 0.05), 0.25);
+  EXPECT_EQ(cl.parser().positional(4, 2, 1), 2);  // absent: the fallback
+}
+
+// A malformed positional argument, or a count below 1, is a usage error,
+// never a silent 0 that runs the wrong size or reaches the runtime.
+TEST(ArgParser, PositionalArgumentsRejectMalformedValuesAndEmptyCounts) {
+  auto count = [](const char* arg) {
+    CommandLine cl({"1000", arg});
+    return cl.parser().positional(2, 2, 1);
+  };
+  EXPECT_EXIT(count("abc"), ::testing::ExitedWithCode(2),
+              "argument 2 expects an integer >= 1, got 'abc'");
+  EXPECT_EXIT(count("0"), ::testing::ExitedWithCode(2), "argument 2");
+  EXPECT_EXIT(count("-1"), ::testing::ExitedWithCode(2), "argument 2");
+  EXPECT_EXIT(count("2x"), ::testing::ExitedWithCode(2), "argument 2");
+  EXPECT_EXIT(CommandLine({"-1"}).parser().positional<std::size_t>(1, 7, 1),
+              ::testing::ExitedWithCode(2), "argument 1");
+  EXPECT_EXIT(CommandLine({"0.05s"}).parser().positional(1, 0.05),
+              ::testing::ExitedWithCode(2),
+              "argument 1 expects a number, got '0.05s'");
+}
+
 }  // namespace
 }  // namespace paratreet

@@ -88,8 +88,54 @@ TEST_P(PriorityTest, NearestNeighborMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Procs, PriorityTest, ::testing::Values(1, 2, 3),
                          [](const auto& info) {
-                           return "p" + std::to_string(info.param);
+                           // Appended, not "p" + ...: GCC 12 -O3 misreports
+                           // that form under -Wrestrict.
+                           std::string name = "p";
+                           name += std::to_string(info.param);
+                           return name;
                          });
+
+// Every cache model on a multi-process runtime with one level per fill,
+// so the best-first walk pauses and, under kPerThread, also continues
+// synchronously on regions the worker's private cache already holds.
+class PriorityCacheModelTest : public ::testing::TestWithParam<CacheModel> {};
+
+TEST_P(PriorityCacheModelTest, NearestNeighborMatchesBruteForce) {
+  rts::Runtime rt({3, 2});
+  Configuration conf = testConfig();
+  conf.min_partitions = 12;
+  conf.fetch_depth = 1;
+  conf.cache_model = GetParam();
+  obs::MetricsRegistry counts;
+  Forest<SphData, OctTreeType> forest(
+      rt, conf, Instrumentation{nullptr, &counts, nullptr});
+  auto particles = makeParticles(clustered(400, 91, 4, 0.04));
+  const auto reference = particles;
+  forest.load(std::move(particles));
+  forest.decompose();
+  forest.build();
+  forest.forEachParticle(
+      [](Particle& p) { p.ball2 = std::numeric_limits<double>::infinity(); });
+  forest.traversePriority<NearestVisitor>(NearestVisitor{});
+  EXPECT_GT(counts.counter("cache.pauses").value(), 0u);
+  const auto out = forest.collect();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t j = 0; j < reference.size(); ++j) {
+      if (i == j) continue;
+      best = std::min(best, distanceSquared(reference[i].position,
+                                            reference[j].position));
+    }
+    EXPECT_NEAR(out[i].ball2, best, 1e-12) << "order " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, PriorityCacheModelTest,
+                         ::testing::Values(CacheModel::kWaitFree,
+                                           CacheModel::kXWrite,
+                                           CacheModel::kPerThread,
+                                           CacheModel::kSingleInserter),
+                         [](const auto& info) { return toString(info.param); });
 
 TEST(PriorityTest, BestFirstOpensFewerNodesThanDepthFirst) {
   // The point of the priority order: with a tightening pruning ball,

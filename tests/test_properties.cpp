@@ -140,7 +140,11 @@ TEST_P(DelayedCommTest, CacheModelsAgreeUnderMessageDelay) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DelayedCommTest, ::testing::Values(11, 12),
                          [](const auto& info) {
-                           return "s" + std::to_string(info.param);
+                           // Appended, not "s" + ...: GCC 12 -O3 misreports
+                           // that form under -Wrestrict.
+                           std::string name = "s";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(KnnProperty, RandomQueriesAcrossDistributions) {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "rts/profiler.hpp"
-#include "rts/reduction.hpp"
 #include "rts/reliable.hpp"
 #include "rts/runtime.hpp"
 #include "util/timer.hpp"
@@ -173,55 +172,6 @@ TEST(Runtime, ManyProcsManyWorkersStress) {
   }
   rt.drain();
   EXPECT_EQ(sum.load(), 2000ull * 1999 / 2);
-}
-
-TEST(Reduction, CombinesAllContributions) {
-  Runtime rt({2, 2});
-  Reduction<int, std::plus<int>> red(10, 0);
-  for (int i = 0; i < 10; ++i) {
-    rt.enqueue(i % 2, [&red, i] { red.contribute(i + 1); });
-  }
-  EXPECT_EQ(red.wait(), 55);
-  rt.drain();
-}
-
-TEST(Reduction, ResetAllowsReuse) {
-  Reduction<int, std::plus<int>> red(2, 0);
-  red.contribute(3);
-  red.contribute(4);
-  EXPECT_EQ(red.wait(), 7);
-  red.reset(100);
-  red.contribute(1);
-  red.contribute(1);
-  EXPECT_EQ(red.wait(), 102);
-}
-
-TEST(Reduction, MaxOperator) {
-  auto max_op = [](double a, double b) { return a > b ? a : b; };
-  Reduction<double, decltype(max_op)> red(3, -1e300, max_op);
-  red.contribute(1.5);
-  red.contribute(9.0);
-  red.contribute(-2.0);
-  EXPECT_DOUBLE_EQ(red.wait(), 9.0);
-}
-
-TEST(Latch, CountsDown) {
-  Runtime rt({2, 1});
-  Latch latch(5);
-  for (int i = 0; i < 5; ++i) {
-    rt.enqueue(i % 2, [&latch] { latch.countDown(); });
-  }
-  latch.wait();  // must not hang
-  rt.drain();
-  SUCCEED();
-}
-
-TEST(Latch, ExtraCountDownsAreIgnored) {
-  Latch latch(1);
-  latch.countDown();
-  latch.countDown();
-  latch.wait();
-  SUCCEED();
 }
 
 TEST(Profiler, AccumulatesPerActivity) {

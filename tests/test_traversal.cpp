@@ -187,8 +187,13 @@ INSTANTIATE_TEST_SUITE_P(Ks, KnnTest,
                          ::testing::Combine(::testing::Values(1, 4, 16),
                                             ::testing::Values(1, 3)),
                          [](const auto& info) {
-                           return "k" + std::to_string(std::get<0>(info.param)) +
-                                  "_p" + std::to_string(std::get<1>(info.param));
+                           // Appended, not "k" + ...: GCC 12 -O3 misreports
+                           // that form under -Wrestrict.
+                           std::string name = "k";
+                           name += std::to_string(std::get<0>(info.param));
+                           name += "_p";
+                           name += std::to_string(std::get<1>(info.param));
+                           return name;
                          });
 
 TEST(KnnTest, SelfIsNearestNeighbor) {
@@ -266,6 +271,89 @@ TEST(Traversal, UpAndDownVisitsOwnLeafFirst) {
     EXPECT_NEAR(heap.back().d2, expected.back().first, 1e-12);
   }
 }
+
+// --- every pausing traverser under every cache model --------------------------
+
+/// Several Partitions per process and one level per fill, so walks pause
+/// on nearly every remote region and, under kPerThread, a worker meets
+/// regions its private cache already holds (the synchronous branch of the
+/// shared pause path).
+Configuration pausingConfig(CacheModel model) {
+  Configuration conf = testConfig();
+  conf.min_partitions = 12;
+  conf.min_subtrees = 6;
+  conf.fetch_depth = 1;
+  conf.cache_model = model;
+  return conf;
+}
+
+class CacheModelTraversalTest
+    : public ::testing::TestWithParam<std::tuple<CacheModel, EvalKernel>> {};
+
+TEST_P(CacheModelTraversalTest, TopDownCoversEveryPair) {
+  const auto [model, kernel] = GetParam();
+  rts::Runtime rt({3, 2});
+  for (const auto style :
+       {TraversalStyle::kTransposed, TraversalStyle::kPerBucket}) {
+    obs::MetricsRegistry counts;
+    Forest<CountData, OctTreeType> forest(
+        rt, pausingConfig(model), Instrumentation{nullptr, &counts, nullptr});
+    const std::size_t n = 400;
+    forest.load(makeParticles(uniformCube(n, 37)));
+    forest.decompose();
+    forest.build();
+    forest.traverse<PruningVisitor>({}, style, kernel);
+    EXPECT_GT(counts.counter("cache.pauses").value(), 0u);
+    for (const auto& p : forest.collect()) {
+      EXPECT_DOUBLE_EQ(p.density, static_cast<double>(n))
+          << "order " << p.order << " style " << static_cast<int>(style);
+    }
+  }
+}
+
+TEST_P(CacheModelTraversalTest, UpAndDownKnnMatchesBruteForce) {
+  const auto [model, kernel] = GetParam();
+  rts::Runtime rt({3, 2});
+  obs::MetricsRegistry counts;
+  Forest<CountData, OctTreeType> forest(
+      rt, pausingConfig(model), Instrumentation{nullptr, &counts, nullptr});
+  auto particles = makeParticles(clustered(400, 61, 4, 0.05));
+  const auto reference = particles;
+  forest.load(std::move(particles));
+  forest.decompose();
+  forest.build();
+  const int k = 6;
+  NeighborStore store(reference.size(), k);
+  forest.forEachParticle([](Particle& p) { p.ball2 = kInfiniteBall; });
+  forest.traverseUpAndDown(KNearestVisitor<CountData>{&store}, kernel);
+  EXPECT_GT(counts.counter("cache.pauses").value(), 0u);
+  for (std::size_t order = 0; order < reference.size(); ++order) {
+    const auto expected = bruteForceKnn(reference, reference[order].position, k);
+    auto heap = store.neighbors(static_cast<int>(order));
+    ASSERT_EQ(heap.size(), static_cast<std::size_t>(k)) << "order " << order;
+    std::sort(heap.begin(), heap.end(),
+              [](const Neighbor& a, const Neighbor& b) { return a.d2 < b.d2; });
+    for (int i = 0; i < k; ++i) {
+      EXPECT_NEAR(heap[static_cast<std::size_t>(i)].d2,
+                  expected[static_cast<std::size_t>(i)].first, 1e-12)
+          << "order " << order << " rank " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, CacheModelTraversalTest,
+    ::testing::Combine(::testing::Values(CacheModel::kWaitFree,
+                                         CacheModel::kXWrite,
+                                         CacheModel::kPerThread,
+                                         CacheModel::kSingleInserter),
+                       ::testing::Values(EvalKernel::kVisitor,
+                                         EvalKernel::kBatched)),
+    [](const auto& info) {
+      return toString(std::get<0>(info.param)) +
+             (std::get<1>(info.param) == EvalKernel::kBatched ? "Batched"
+                                                              : "Visitor");
+    });
 
 }  // namespace
 }  // namespace paratreet
