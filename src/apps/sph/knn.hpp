@@ -17,7 +17,6 @@ namespace paratreet {
 struct Neighbor {
   double d2{0.0};
   Vec3 position{};
-  Vec3 velocity{};
   double mass{0.0};
   std::int32_t order{-1};
 
@@ -44,18 +43,15 @@ class NeighborStore {
   void consider(Particle& target, const Particle& source) {
     const double d2 = distanceSquared(target.position, source.position);
     auto& heap = lists_[static_cast<std::size_t>(target.order)];
+    const Neighbor nb{d2, source.position, source.mass, source.order};
     if (static_cast<int>(heap.size()) < k_) {
-      heap.push_back({d2, source.position, source.velocity, source.mass,
-                      source.order});
+      heap.push_back(nb);
       std::push_heap(heap.begin(), heap.end());
       if (static_cast<int>(heap.size()) == k_) target.ball2 = heap.front().d2;
       return;
     }
     if (d2 < heap.front().d2) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.back() = {d2, source.position, source.velocity, source.mass,
-                     source.order};
-      std::push_heap(heap.begin(), heap.end());
+      replaceRoot(heap, nb);
       target.ball2 = heap.front().d2;
     }
   }
@@ -68,11 +64,23 @@ class NeighborStore {
   }
   std::size_t size() const { return lists_.size(); }
 
-  void clear() {
-    for (auto& l : lists_) l.clear();
+ private:
+  /// Evict the farthest candidate for `nb` with one sift-down from the
+  /// root (a pop_heap + push_heap pair would sift twice).
+  static void replaceRoot(std::vector<Neighbor>& heap, const Neighbor& nb) {
+    const std::size_t n = heap.size();
+    std::size_t i = 0;
+    while (true) {
+      std::size_t c = 2 * i + 1;
+      if (c >= n) break;
+      if (c + 1 < n && heap[c] < heap[c + 1]) ++c;
+      if (!(nb < heap[c])) break;
+      heap[i] = heap[c];
+      i = c;
+    }
+    heap[i] = nb;
   }
 
- private:
   int k_;
   std::vector<std::vector<Neighbor>> lists_;
 };

@@ -63,8 +63,9 @@ class SphSolver {
   /// Phase 1: kNN search (up-and-down traversal) + density from the
   /// neighbour lists. Fills SphFields.
   SphFields densityPass() {
-    store_.clear();
-    forest_.forEachParticle([](Particle& p) {
+    auto* store = &store_;
+    forest_.forEachParticle([store](Particle& p) {
+      store->neighbors(p.order).clear();
       p.ball2 = kInfiniteBall;
       p.density = 0.0;
       p.neighbor_count = 0;
@@ -75,7 +76,6 @@ class SphSolver {
     SphFields fields;
     fields.density.assign(store_.size(), 0.0);
     fields.pressure.assign(store_.size(), 0.0);
-    auto* store = &store_;
     const SphParams params = params_;
     auto* fptr = &fields;
     forest_.forEachParticle([store, params, fptr](Particle& p) {

@@ -110,6 +110,8 @@ class CacheManager {
       metrics_.lock_wait_ns = &reg.counter("cache.lock_wait_ns");
       metrics_.fetch_retries = &reg.counter("cache.fetch_retries");
       metrics_.degraded_reads = &reg.counter("cache.degraded_reads");
+      metrics_.fill_rtt_us = &reg.histogram(
+          "cache.fill_rtt_us", obs::exponentialBounds(1.0, 2.0, 22));
     }
   }
 
@@ -299,6 +301,18 @@ class CacheManager {
     /// Fills that exhausted their retry budget and fell back to a
     /// synchronous direct read of the owning subtree.
     obs::Counter* degraded_reads = nullptr;
+    /// Microseconds from a fill's first request to its response, retries
+    /// and a degraded read included.
+    obs::Histogram* fill_rtt_us = nullptr;
+  };
+
+  /// One logical fill across its retries. One id spans all attempts, so
+  /// the injector's fail/serve decision is per (fetch, attempt); `sent` is
+  /// when attempt 0 left (set only when fill_rtt_us is registered).
+  struct Fetch {
+    std::uint64_t id = 0;
+    int attempt = 0;
+    std::chrono::steady_clock::time_point sent{};
   };
 
   static void bump(obs::Counter* c, std::uint64_t delta = 1) {
@@ -403,16 +417,18 @@ class CacheManager {
   // --- request / fill protocol ------------------------------------------------
 
   void sendRequest(Node<Data>* ph, int worker_slot) {
-    // One fetch_id spans a logical fill and all its retries, so the
-    // injector's fail/serve decision is per (fetch, attempt).
-    auto* inj = rt_ != nullptr ? rt_->faultInjector() : nullptr;
-    sendRequestAttempt(ph, worker_slot,
-                       inj != nullptr ? inj->nextFetchId() : 0, 0);
+    Fetch fetch;
+    if (auto* inj = rt_ != nullptr ? rt_->faultInjector() : nullptr) {
+      fetch.id = inj->nextFetchId();
+    }
+    if (metrics_.fill_rtt_us != nullptr) {
+      fetch.sent = std::chrono::steady_clock::now();
+    }
+    sendRequestAttempt(ph, worker_slot, fetch);
   }
 
-  void sendRequestAttempt(Node<Data>* ph, int worker_slot,
-                          std::uint64_t fetch_id, int attempt) {
-    if (attempt == 0) bump(metrics_.misses);
+  void sendRequestAttempt(Node<Data>* ph, int worker_slot, Fetch fetch) {
+    if (fetch.attempt == 0) bump(metrics_.misses);
     const int home = ph->home_proc;
     const Key key = ph->key;
     const int requester = proc_;
@@ -425,9 +441,9 @@ class CacheManager {
     req.bytes = sizeof(Key) + 3 * sizeof(int);
     req.kind = rts::MessageKind::kRequest;
     req.on_receive = [caches, home, key, requester, req_cache, ph,
-                      worker_slot, fetch_id, attempt] {
+                      worker_slot, fetch] {
       (*caches)[static_cast<std::size_t>(home)].serveRequest(
-          key, requester, req_cache, ph, worker_slot, fetch_id, attempt);
+          key, requester, req_cache, ph, worker_slot, fetch);
     };
     rt_->send(std::move(req));
   }
@@ -437,21 +453,20 @@ class CacheManager {
   /// the requester retries (sendRequestAttempt) until its budget runs
   /// out, then degrades to a direct read.
   void serveRequest(Key key, int requester, CacheManager* req_cache,
-                    Node<Data>* ph, int worker_slot,
-                    std::uint64_t fetch_id = 0, int attempt = 0) {
+                    Node<Data>* ph, int worker_slot, Fetch fetch) {
     rts::ActivityScope scope(opts_.instr.profiler, rts::Activity::kCacheRequest);
     bump(metrics_.requests_served);
     if (auto* inj = rt_->faultInjector();
         inj != nullptr &&
-        inj->onFetch(fetch_id, static_cast<std::uint32_t>(attempt))) {
+        inj->onFetch(fetch.id, static_cast<std::uint32_t>(fetch.attempt))) {
       rt_->noteFault(rts::FaultKind::kFetchFail);
       rts::Message nack;
       nack.from = proc_;
       nack.to = requester;
       nack.bytes = sizeof(Key) + 2 * sizeof(int);
       nack.kind = rts::MessageKind::kResponse;
-      nack.on_receive = [req_cache, ph, worker_slot, fetch_id, attempt] {
-        req_cache->handleFetchFailure(ph, worker_slot, fetch_id, attempt);
+      nack.on_receive = [req_cache, ph, worker_slot, fetch] {
+        req_cache->handleFetchFailure(ph, worker_slot, fetch);
       };
       rt_->send(std::move(nack));
       return;
@@ -466,32 +481,35 @@ class CacheManager {
     resp.to = requester;
     resp.bytes = bytes;
     resp.kind = rts::MessageKind::kResponse;
-    resp.on_receive = [req_cache, block, ph, worker_slot, bytes] {
-      req_cache->handleResponse(std::move(block), ph, worker_slot, bytes);
+    resp.on_receive = [req_cache, block, ph, worker_slot, bytes,
+                       sent = fetch.sent] {
+      req_cache->handleResponse(std::move(block), ph, worker_slot, bytes,
+                                sent);
     };
     rt_->send(std::move(resp));
   }
 
   /// Requester side of a nacked fill: retry while the budget allows,
   /// otherwise degrade.
-  void handleFetchFailure(Node<Data>* ph, int worker_slot,
-                          std::uint64_t fetch_id, int attempt) {
-    if (attempt < opts_.max_fetch_retries) {
+  void handleFetchFailure(Node<Data>* ph, int worker_slot, Fetch fetch) {
+    if (fetch.attempt < opts_.max_fetch_retries) {
       bump(metrics_.fetch_retries);
       obs::TraceSpan span(opts_.instr.trace, "cache.fetch_retry", "fault",
                           rts::Runtime::currentProc(),
                           rts::Runtime::currentWorker());
-      sendRequestAttempt(ph, worker_slot, fetch_id, attempt + 1);
+      ++fetch.attempt;
+      sendRequestAttempt(ph, worker_slot, fetch);
       return;
     }
-    degradedRead(ph, worker_slot);
+    degradedRead(ph, worker_slot, fetch.sent);
   }
 
   /// Last-resort fill: read the owning subtree synchronously out of the
   /// home process's cache (all logical processes share this address
   /// space, and local trees are read-only during traversal — the stand-in
   /// for an RDMA/RGET side channel). Accounted as cache.degraded_reads.
-  void degradedRead(Node<Data>* ph, int worker_slot) {
+  void degradedRead(Node<Data>* ph, int worker_slot,
+                    std::chrono::steady_clock::time_point sent) {
     obs::TraceSpan span(opts_.instr.trace, "cache.degraded_read", "fault",
                         rts::Runtime::currentProc(),
                         rts::Runtime::currentWorker());
@@ -502,13 +520,20 @@ class CacheManager {
     auto block = std::make_shared<ResponseBlock<Data>>(
         serializeRegion(node, opts_.fetch_depth));
     const std::size_t bytes = block->byteSize();
-    handleResponse(std::move(block), ph, worker_slot, bytes);
+    handleResponse(std::move(block), ph, worker_slot, bytes, sent);
   }
 
   /// Requester side (Fig 2, Steps 2-5), dispatched to whichever worker is
   /// least busy by the runtime.
   void handleResponse(std::shared_ptr<ResponseBlock<Data>> block,
-                      Node<Data>* ph, int worker_slot, std::size_t bytes) {
+                      Node<Data>* ph, int worker_slot, std::size_t bytes,
+                      std::chrono::steady_clock::time_point sent) {
+    if (metrics_.fill_rtt_us != nullptr) {
+      metrics_.fill_rtt_us->observe(
+          std::chrono::duration<double, std::micro>(
+              std::chrono::steady_clock::now() - sent)
+              .count());
+    }
     rts::ActivityScope scope(opts_.instr.profiler,
                              rts::Activity::kCacheInsertion);
     obs::TraceSpan span(opts_.instr.trace, "cache.fill", "cache",

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <deque>
@@ -512,31 +513,29 @@ class TopDownTraverser final : public TraverserBase {
 /// during the walk: results stay correct, but the traversal records every
 /// candidate the *initial* ball admits — use the batched kernel here only
 /// for fixed-radius searches.
+///
+/// The seed walk runs in slices of kSeedSlice buckets, one task each. The
+/// runtime's ready queue is FIFO, so a whole-Partition walk in one task
+/// would hold back every cache request and fill queued behind it, and each
+/// later bucket would park on the same in-flight placeholders. Between
+/// slices those requests and fills run, and later buckets mostly find
+/// their remote nodes already published.
 template <typename Data, typename Visitor>
 class UpAndDownTraverser final : public TraverserBase {
  public:
+  /// Buckets walked per seed task.
+  static constexpr std::uint32_t kSeedSlice = 16;
+
   UpAndDownTraverser(Partition<Data>& partition, CacheManager<Data>& cache,
                      rts::Runtime& rt, Visitor visitor = {},
                      EvalKernel kernel = EvalKernel::kVisitor,
                      BatchDrain drain = BatchDrain::kOverlap,
                      Instrumentation instr = {})
-      : partition_(partition), cache_(cache), visitor_(std::move(visitor)),
-        instr_(instr),
+      : partition_(partition), cache_(cache), rt_(rt),
+        visitor_(std::move(visitor)), instr_(instr),
         recorder_(partition, visitor_, kernel, drain, rt, instr) {}
 
-  void start() {
-    rts::ActivityScope scope(instr_.profiler, rts::Activity::kLocalTraversal);
-    std::lock_guard run(partition_.run_mutex);
-    LoadScope<Data> load(partition_);
-    recorder_.prepare();
-    typename Recorder::RecordScope rec(recorder_);
-    for (std::uint32_t b = 0; b < partition_.buckets.size(); ++b) {
-      descend(cache_.root(), b, /*path=*/{});
-      // Any pause along b's walk deferred the bucket before descend
-      // returned, so this retire only seals b once every branch is home.
-      recorder_.retireTarget(b);
-    }
-  }
+  void start() { seedSlice(0); }
 
   void finish() override {
     std::lock_guard run(partition_.run_mutex);
@@ -546,6 +545,31 @@ class UpAndDownTraverser final : public TraverserBase {
  private:
   using Recorder = InteractionRecorder<Data, Visitor>;
   using Path = SmallVector<Node<Data>*, 24>;
+
+  /// Walk buckets [first, first + kSeedSlice), then enqueue the next slice
+  /// on the home process. The first slice also prepares the recorder. The
+  /// next slice is enqueued before this task returns, so quiescence waits
+  /// for it, and it captures `this` like a resume continuation does.
+  void seedSlice(std::uint32_t first) {
+    rts::ActivityScope scope(instr_.profiler, rts::Activity::kLocalTraversal);
+    const auto n = static_cast<std::uint32_t>(partition_.buckets.size());
+    const std::uint32_t end = std::min(n, first + kSeedSlice);
+    {
+      std::lock_guard run(partition_.run_mutex);
+      LoadScope<Data> load(partition_);
+      if (first == 0) recorder_.prepare();
+      typename Recorder::RecordScope rec(recorder_);
+      for (std::uint32_t b = first; b < end; ++b) {
+        descend(cache_.root(), b, /*path=*/{});
+        // Any pause along b's walk deferred the bucket before descend
+        // returned, so this retire only seals b once every branch is home.
+        recorder_.retireTarget(b);
+      }
+    }
+    if (end < n) {
+      rt_.enqueue(partition_.home_proc, [this, end] { seedSlice(end); });
+    }
+  }
 
   int bitsPerLevel() const { return cache_.options().bits_per_level; }
 
@@ -634,6 +658,7 @@ class UpAndDownTraverser final : public TraverserBase {
 
   Partition<Data>& partition_;
   CacheManager<Data>& cache_;
+  rts::Runtime& rt_;
   Visitor visitor_;
   Instrumentation instr_;
   Recorder recorder_;

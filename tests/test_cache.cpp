@@ -100,6 +100,37 @@ TEST(CacheManager, MultiProcFetchesRemoteData) {
   EXPECT_GT(counts.counter("cache.pauses").value(), 0u);
 }
 
+TEST(CacheManager, FillRoundTripHistogramObservesEveryFill) {
+  // A modeled link delays the request and the response by its latency
+  // each, so every fill's round trip is at least twice that.
+  constexpr double kLatencyUs = 50.0;
+  for (const int procs : {1, 2}) {
+    rts::Runtime::Config rc;
+    rc.n_procs = procs;
+    rc.workers_per_proc = 2;
+    rc.comm.latency_us = kLatencyUs;
+    rts::Runtime rt(rc);
+    obs::MetricsRegistry counts;
+    Forest<CentroidData, OctTreeType> forest(
+        rt, smallConfig(), Instrumentation{nullptr, &counts, nullptr});
+    forest.load(makeParticles(uniformCube(600, 5)));
+    forest.decompose();
+    forest.build();
+    forest.traverse<GravityVisitor>(GravityVisitor{});
+    const obs::Histogram* rtt = counts.findHistogram("cache.fill_rtt_us");
+    ASSERT_NE(rtt, nullptr) << procs << " procs";
+    const auto snap = rtt->snapshot();
+    EXPECT_EQ(snap.count, counts.counter("cache.fills").value())
+        << procs << " procs";
+    if (procs == 1) {
+      EXPECT_EQ(snap.count, 0u);
+    } else {
+      EXPECT_GT(snap.count, 0u);
+      EXPECT_GE(snap.min, 2 * kLatencyUs);
+    }
+  }
+}
+
 TEST(CacheManager, PerThreadModelFetchesMore) {
   // The per-thread ("Sequential") cache duplicates fetches across workers
   // on the same process: strictly more communication volume.

@@ -1,7 +1,8 @@
 // Chaos suite: gravity traversals under injected transport/fetch faults
-// must produce *identical physics* to the fault-free run, the fault
-// schedule must be deterministic per seed, and a genuinely dead network
-// must become a thrown watchdog diagnostic instead of a hang.
+// must produce *identical physics* to the fault-free run and kNN
+// traversals the same exact neighbour sets, the fault schedule must be
+// deterministic per seed, and a genuinely dead network must become a
+// thrown watchdog diagnostic instead of a hang.
 //
 // The gravity setup is chosen so the result is bitwise-reproducible, not
 // just tolerance-equal: a binary kd-tree with exactly two Subtrees and
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "apps/gravity/gravity.hpp"
+#include "apps/sph/knn.hpp"
 #include "core/forest.hpp"
 #include "observability/report.hpp"
 #include "rts/reliable.hpp"
@@ -179,6 +182,90 @@ TEST(Chaos, BatchedKernelBitwiseIdenticalUnderTransportFaults) {
   EXPECT_GT(injected, 0u);
   EXPECT_GT(faulty.retries, 0u);
   expectBitwiseEqual(clean.particles, faulty.particles);
+}
+
+/// Every particle's k nearest neighbours, as (d2, order) pairs sorted by
+/// distance, indexed by order.
+using NeighborSets = std::vector<std::vector<std::pair<double, int>>>;
+
+struct KnnRun {
+  NeighborSets neighbors;
+  std::array<std::uint64_t, rts::kNumFaultKinds> fault_counts{};
+  std::uint64_t retries = 0;
+};
+
+constexpr int kKnnK = 8;
+
+std::vector<Particle> knnParticles() {
+  return makeParticles(clustered(3000, 83, 4, 0.1));
+}
+
+/// One kNN up-and-down traversal on 2 procs x 2 workers. Small buckets
+/// and one level per fill give every Partition a seed walk of several
+/// slices and many pauses, so slice tasks interleave with retransmits,
+/// duplicates and delayed fills.
+KnnRun runKnn(const rts::FaultConfig& fault) {
+  rts::Runtime::Config rc;
+  rc.n_procs = 2;
+  rc.workers_per_proc = 2;
+  rc.fault = fault;
+  rts::Runtime rt(rc);
+  Configuration conf;
+  conf.min_partitions = 4;
+  conf.min_subtrees = 4;
+  conf.bucket_size = 8;
+  conf.fetch_depth = 1;
+  KnnRun out;
+  {
+    Forest<CentroidData, OctTreeType> forest(rt, conf);
+    forest.load(knnParticles());
+    forest.decompose();
+    forest.build();
+    NeighborStore store(forest.particleCount(), kKnnK);
+    forest.forEachParticle([](Particle& p) { p.ball2 = kInfiniteBall; });
+    forest.traverseUpAndDown(KNearestVisitor<CentroidData>{&store});
+    out.neighbors.resize(store.size());
+    for (std::size_t order = 0; order < store.size(); ++order) {
+      for (const auto& nb : store.neighbors(static_cast<int>(order))) {
+        out.neighbors[order].push_back({nb.d2, nb.order});
+      }
+      std::sort(out.neighbors[order].begin(), out.neighbors[order].end());
+    }
+  }
+  if (auto* inj = rt.faultInjector()) out.fault_counts = inj->counts();
+  if (auto* rel = rt.reliableLayer()) out.retries = rel->retries();
+  return out;
+}
+
+TEST(Chaos, KnnNeighborSetsExactUnderTransportFaults) {
+  rts::FaultConfig fault = mixedSchedule(chaosSeed());
+  fault.stall_p = 0.05;
+  fault.stall_us = 50.0;
+  const KnnRun clean = runKnn(rts::FaultConfig{});
+  const KnnRun faulty = runKnn(fault);
+  std::uint64_t injected = 0;
+  for (const auto c : faulty.fault_counts) injected += c;
+  EXPECT_GT(injected, 0u);
+  EXPECT_GT(faulty.fault_counts[static_cast<std::size_t>(
+                rts::FaultKind::kDrop)],
+            0u);
+  EXPECT_GT(faulty.retries, 0u);
+
+  const auto reference = knnParticles();
+  ASSERT_EQ(clean.neighbors.size(), reference.size());
+  ASSERT_EQ(faulty.neighbors.size(), reference.size());
+  std::vector<std::pair<double, int>> all(reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    for (std::size_t j = 0; j < reference.size(); ++j) {
+      all[j] = {distanceSquared(reference[j].position, reference[i].position),
+                reference[j].order};
+    }
+    std::partial_sort(all.begin(), all.begin() + kKnnK, all.end());
+    const std::vector<std::pair<double, int>> expected(all.begin(),
+                                                       all.begin() + kKnnK);
+    EXPECT_EQ(clean.neighbors[i], expected) << "order " << i;
+    EXPECT_EQ(faulty.neighbors[i], clean.neighbors[i]) << "order " << i;
+  }
 }
 
 TEST(Chaos, SameSeedInjectsSameFaultCounts) {

@@ -138,6 +138,8 @@ TEST(Traversal, TransposedAndPerBucketAgree) {
 
 // --- k-nearest-neighbour (up-and-down) correctness ---------------------------
 
+/// The k nearest particles to `pos`, as (d2, order) pairs sorted by d2;
+/// nth_element keeps each query linear at thousands of points.
 std::vector<std::pair<double, int>> bruteForceKnn(
     const std::vector<Particle>& ps, const Vec3& pos, int k) {
   std::vector<std::pair<double, int>> d;
@@ -145,8 +147,9 @@ std::vector<std::pair<double, int>> bruteForceKnn(
   for (const auto& p : ps) {
     d.push_back({distanceSquared(p.position, pos), p.order});
   }
-  std::sort(d.begin(), d.end());
+  std::nth_element(d.begin(), d.begin() + (k - 1), d.end());
   d.resize(static_cast<std::size_t>(k));
+  std::sort(d.begin(), d.end());
   return d;
 }
 
@@ -353,6 +356,87 @@ INSTANTIATE_TEST_SUITE_P(
       return toString(std::get<0>(info.param)) +
              (std::get<1>(info.param) == EvalKernel::kBatched ? "Batched"
                                                               : "Visitor");
+    });
+
+// --- a seed walk of many slices ----------------------------------------------
+
+/// Enough buckets that every Partition's up-and-down seed walk spans
+/// several slices, so later slices run after fills and resumes queued
+/// behind earlier ones; a modeled link keeps those fills in flight.
+class SlicedSeedTest
+    : public ::testing::TestWithParam<std::tuple<CacheModel, EvalKernel>> {};
+
+TEST_P(SlicedSeedTest, MatchesBruteForce) {
+  const auto [model, kernel] = GetParam();
+  rts::Runtime::Config rc;
+  rc.n_procs = 3;
+  rc.workers_per_proc = 2;
+  rc.comm.latency_us = 20.0;
+  rc.comm.us_per_byte = 0.001;
+  rts::Runtime rt(rc);
+  Configuration conf = pausingConfig(model);
+  conf.bucket_size = 8;
+  obs::MetricsRegistry counts;
+  Forest<CountData, OctTreeType> forest(
+      rt, conf, Instrumentation{nullptr, &counts, nullptr});
+  const auto reference = makeParticles(clustered(8000, 67, 4, 0.1));
+  forest.load(std::vector<Particle>(reference));
+  forest.decompose();
+  forest.build();
+  using Trav = UpAndDownTraverser<CountData, KNearestVisitor<CountData>>;
+  std::uint64_t buckets = 0;
+  for (int i = 0; i < forest.numPartitions(); ++i) {
+    const std::size_t nb = forest.partition(i).buckets.size();
+    EXPECT_GE(nb, 4 * std::size_t{Trav::kSeedSlice}) << "partition " << i;
+    buckets += nb;
+  }
+
+  if (kernel == EvalKernel::kVisitor) {
+    // kNN: every particle's neighbour set equals brute force exactly.
+    const int k = 8;
+    NeighborStore store(reference.size(), k);
+    forest.forEachParticle([](Particle& p) { p.ball2 = kInfiniteBall; });
+    forest.traverseUpAndDown(KNearestVisitor<CountData>{&store}, kernel);
+    for (std::size_t order = 0; order < reference.size(); ++order) {
+      std::vector<std::pair<double, int>> got;
+      for (const auto& nb : store.neighbors(static_cast<int>(order))) {
+        got.push_back({nb.d2, nb.order});
+      }
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, bruteForceKnn(reference, reference[order].position, k))
+          << "order " << order;
+    }
+  } else {
+    // Fixed ball on the batched kernel: every particle's in-ball
+    // neighbour count equals brute force exactly, and every bucket seals
+    // exactly once.
+    const double ball2 = 0.004;
+    forest.forEachParticle([ball2](Particle& p) { p.ball2 = ball2; });
+    forest.traverseUpAndDown(FixedBallDensityVisitor<CountData>{}, kernel);
+    EXPECT_EQ(counts.counter("kernel.sealed_total").value(), buckets);
+    for (const auto& p : forest.collect()) {
+      std::int32_t want = 0;
+      for (const auto& q : reference) {
+        if (distanceSquared(p.position, q.position) < ball2) ++want;
+      }
+      EXPECT_EQ(p.neighbor_count, want) << "order " << p.order;
+    }
+  }
+  EXPECT_GT(counts.counter("cache.pauses").value(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, SlicedSeedTest,
+    ::testing::Combine(::testing::Values(CacheModel::kWaitFree,
+                                         CacheModel::kXWrite,
+                                         CacheModel::kPerThread,
+                                         CacheModel::kSingleInserter),
+                       ::testing::Values(EvalKernel::kVisitor,
+                                         EvalKernel::kBatched)),
+    [](const auto& info) {
+      return toString(std::get<0>(info.param)) +
+             (std::get<1>(info.param) == EvalKernel::kBatched ? "BatchedBall"
+                                                              : "VisitorKnn");
     });
 
 }  // namespace
