@@ -1,9 +1,13 @@
 // Kernel microbench: particle-particle interaction throughput of the
-// batched SoA gravity kernel (EvalKernel::kBatched with the visitor's
-// leafBatch/nodeBatch hooks) against the per-pair visitor-callback path,
-// on the *same* recorded interaction lists. Also times one small
-// end-to-end gravity traversal per kernel for context. Results go to
-// BENCH_kernels.json (override with --out=<path>).
+// batched SoA gravity kernel (EvalKernel::kBatched: the lane evaluator
+// streaming GravityVisitor's pair and node terms) against the per-pair
+// visitor-callback path, on the *same* recorded interaction lists. Also
+// times one small end-to-end gravity traversal per kernel for context.
+// Results go to BENCH_kernels.json (override with --out=<path>).
+//
+// Equivalence gate: on every case the batched forces must match the
+// visitor path's to 1e-12 relative (both run the same terms; only the
+// lane-blocked summation order differs), else the bench exits 1.
 //
 // List shapes measured, monopole only at bucket 64:
 //   direct_sum — opening angle ~0 opens everything, so every bucket's
@@ -11,9 +15,10 @@
 //   bh_theta07 — theta = 0.7 Barnes-Hut mix of node and leaf work.
 // The node phase alone is timed at the bench_step gravity shape (theta
 // 0.7, quadrupole on, bucket 16) on lists holding only the node
-// approximations: nodeBatch against per-node node() calls.
+// approximations: the batched node term against per-node node() calls.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -36,8 +41,8 @@ namespace {
 
 const OrientedBox kUniverse{Vec3(0), Vec3(1)};
 
-/// Per-pair gravity with no batch hooks: BatchEvaluator falls back to
-/// replaying node()/leaf() in recorded order, which is exactly the inline
+/// Per-pair gravity with no terms: BatchEvaluator falls back to replaying
+/// node()/leaf() in recorded order, which is exactly the inline
 /// visitor-callback code on the same input — the baseline side of the
 /// comparison.
 struct PairwiseGravityVisitor {
@@ -115,11 +120,29 @@ void zeroResults(ListSet& set) {
   }
 }
 
-/// Minimal bucket adapter so BatchScratch::prepareTargets (which reads
-/// buckets[b].particles.size()) works on raw tree leaves.
-struct BucketSpan {
-  std::span<Particle> particles;
-};
+/// Every bucket particle's acceleration and potential, in bucket order.
+std::vector<Particle> results(const ListSet& set) {
+  std::vector<Particle> out;
+  for (const auto* bucket : set.buckets) {
+    out.insert(out.end(), bucket->particles,
+               bucket->particles + bucket->n_particles);
+  }
+  return out;
+}
+
+/// Largest per-particle relative difference of `got` from `want`, over
+/// acceleration (vector norm) and potential.
+double maxRelErr(const std::vector<Particle>& want,
+                 const std::vector<Particle>& got) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Vec3& a = want[i].acceleration;
+    worst = std::max(worst, (got[i].acceleration - a).length() / a.length());
+    worst = std::max(worst, std::abs(got[i].potential - want[i].potential) /
+                                std::abs(want[i].potential));
+  }
+  return worst;
+}
 
 /// Drain every bucket's lists through `eval` once; returns wall seconds.
 template <typename Visitor>
@@ -132,25 +155,17 @@ double drainOnce(ListSet& set, const Visitor& visitor,
     eval.evaluate(set.lists[b],
                   SpatialNode<CentroidData>(bucket->data, bucket->box,
                                             bucket->key, bucket->n_particles,
-                                            bucket->particles),
-                  static_cast<std::uint32_t>(b));
+                                            bucket->particles));
   }
   return timer.seconds();
 }
 
 /// Best-of-`reps` drain time (seconds) for one visitor type. The pools
-/// and target gathers stay warm across reps — the steady state the
-/// persistent-gather design targets.
+/// stay warm across reps — the steady state the persistent-gather design
+/// targets. The buckets keep the last rep's forces.
 template <typename Visitor>
 double bestDrain(ListSet& set, const Visitor& visitor, int reps) {
   BatchScratch<CentroidData> scratch;
-  std::vector<BucketSpan> spans;
-  spans.reserve(set.buckets.size());
-  for (Node<CentroidData>* bucket : set.buckets) {
-    spans.push_back(BucketSpan{std::span<Particle>(
-        bucket->particles, static_cast<std::size_t>(bucket->n_particles))});
-  }
-  scratch.prepareTargets(spans, /*epoch=*/1);
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     zeroResults(set);
@@ -166,6 +181,7 @@ struct CaseResult {
   std::uint64_t pn = 0;
   double visitor_s = 0.0;
   double batched_s = 0.0;
+  double max_rel_err = 0.0;  ///< batched forces against the visitor's
 
   double visitorGpairs() const { return pp / visitor_s / 1e9; }
   double batchedGpairs() const { return pp / batched_s / 1e9; }
@@ -185,18 +201,22 @@ CaseResult runCase(const char* name, Node<CentroidData>* root, double theta,
   r.pp = set.pp;
   r.pn = set.pn;
   r.visitor_s = bestDrain(set, PairwiseGravityVisitor{params}, reps);
+  const auto want = results(set);
   r.batched_s = bestDrain(set, GravityVisitor{params}, reps);
+  r.max_rel_err = maxRelErr(want, results(set));
   return r;
 }
 
 /// The node phase alone: particle-node interaction throughput of
-/// nodeBatch against per-node node() calls on the same node-only lists.
+/// the batched node term against per-node node() calls on the same
+/// node-only lists.
 struct NodePhaseResult {
   double theta = 0.0;
   int bucket_size = 0;
   std::uint64_t pn = 0;
   double visitor_s = 0.0;
   double batched_s = 0.0;
+  double max_rel_err = 0.0;
 
   double visitorGpn() const { return pn / visitor_s / 1e9; }
   double batchedGpn() const { return pn / batched_s / 1e9; }
@@ -214,7 +234,9 @@ NodePhaseResult runNodePhase(Node<CentroidData>* root, double theta,
   r.bucket_size = bucket_size;
   r.pn = set.pn;
   r.visitor_s = bestDrain(set, PairwiseGravityVisitor{params}, reps);
+  const auto want = results(set);
   r.batched_s = bestDrain(set, GravityVisitor{params}, reps);
+  r.max_rel_err = maxRelErr(want, results(set));
   return r;
 }
 
@@ -303,10 +325,10 @@ void writeJson(const std::string& path, std::size_t n, int bucket_size,
         "    {\"name\": \"%s\", \"theta\": %g, \"pp_interactions\": %llu, "
         "\"pn_interactions\": %llu, \"visitor_s\": %.6f, \"batched_s\": %.6f, "
         "\"visitor_gpairs_per_s\": %.4f, \"batched_gpairs_per_s\": %.4f, "
-        "\"pp_throughput_speedup\": %.3f}%s\n",
+        "\"pp_throughput_speedup\": %.3f, \"max_rel_err\": %.3g}%s\n",
         c.name.c_str(), c.theta, static_cast<unsigned long long>(c.pp),
         static_cast<unsigned long long>(c.pn), c.visitor_s, c.batched_s,
-        c.visitorGpairs(), c.batchedGpairs(), c.speedup(),
+        c.visitorGpairs(), c.batchedGpairs(), c.speedup(), c.max_rel_err,
         i + 1 < cases.size() ? "," : "");
   }
   std::fprintf(
@@ -315,11 +337,11 @@ void writeJson(const std::string& path, std::size_t n, int bucket_size,
       "\"quadrupole\": true, \"pn_interactions\": %llu, "
       "\"visitor_s\": %.6f, \"batched_s\": %.6f, "
       "\"visitor_gpn_per_s\": %.4f, \"batched_gpn_per_s\": %.4f, "
-      "\"pn_throughput_speedup\": %.3f},\n",
+      "\"pn_throughput_speedup\": %.3f, \"max_rel_err\": %.3g},\n",
       node_phase.theta, node_phase.bucket_size,
       static_cast<unsigned long long>(node_phase.pn), node_phase.visitor_s,
       node_phase.batched_s, node_phase.visitorGpn(), node_phase.batchedGpn(),
-      node_phase.speedup());
+      node_phase.speedup(), node_phase.max_rel_err);
   std::fprintf(f, "  \"end_to_end_sweep\": [\n");
   for (std::size_t i = 0; i < e2e.size(); ++i) {
     const E2eCase& c = e2e[i];
@@ -378,15 +400,15 @@ int main(int argc, char** argv) {
   cases.push_back(runCase("bh_theta07", root, 0.7, reps));
   cases.push_back(runCase("bh_theta10", root, 1.0, reps));
 
-  std::printf("%-12s %8s %14s %14s %16s %16s %9s\n", "case", "theta",
+  std::printf("%-12s %8s %14s %14s %16s %16s %9s %12s\n", "case", "theta",
               "pp pairs", "pn pairs", "visitor Gpair/s", "batched Gpair/s",
-              "speedup");
+              "speedup", "max rel err");
   for (const auto& c : cases) {
-    std::printf("%-12s %8g %14llu %14llu %16.3f %16.3f %8.2fx\n",
+    std::printf("%-12s %8g %14llu %14llu %16.3f %16.3f %8.2fx %12.2e\n",
                 c.name.c_str(), c.theta,
                 static_cast<unsigned long long>(c.pp),
                 static_cast<unsigned long long>(c.pn), c.visitorGpairs(),
-                c.batchedGpairs(), c.speedup());
+                c.batchedGpairs(), c.speedup(), c.max_rel_err);
   }
 
   const int node_bucket_size = 16;
@@ -399,11 +421,12 @@ int main(int argc, char** argv) {
   const NodePhaseResult node_phase =
       runNodePhase(node_root, 0.7, node_bucket_size, reps);
   std::printf("\nnode phase (theta 0.7, quadrupole, bucket %d): %llu pn "
-              "pairs, visitor %.3f Gpn/s, batched %.3f Gpn/s (%.2fx)\n",
+              "pairs, visitor %.3f Gpn/s, batched %.3f Gpn/s (%.2fx), max "
+              "rel err %.2e\n",
               node_bucket_size,
               static_cast<unsigned long long>(node_phase.pn),
               node_phase.visitorGpn(), node_phase.batchedGpn(),
-              node_phase.speedup());
+              node_phase.speedup(), node_phase.max_rel_err);
 
   const std::size_t e2e_n = std::min<std::size_t>(n, 20000);
   const double e2e_thetas[] = {0.5, 0.7, 1.0};
@@ -428,5 +451,22 @@ int main(int argc, char** argv) {
 
   writeJson(out, n, bucket_size, cases, node_phase, e2e, headline);
   std::printf("results written to %s\n", out.c_str());
-  return 0;
+
+  constexpr double kTolerance = 1e-12;
+  bool match = node_phase.max_rel_err <= kTolerance;
+  if (!match) {
+    std::fprintf(stderr,
+                 "FAIL: node phase batched forces differ from the visitor "
+                 "path by %.3g relative (> %g)\n",
+                 node_phase.max_rel_err, kTolerance);
+  }
+  for (const auto& c : cases) {
+    if (c.max_rel_err <= kTolerance) continue;
+    std::fprintf(stderr,
+                 "FAIL: %s batched forces differ from the visitor path by "
+                 "%.3g relative (> %g)\n",
+                 c.name.c_str(), c.max_rel_err, kTolerance);
+    match = false;
+  }
+  return match ? 0 : 1;
 }

@@ -1,33 +1,11 @@
 #pragma once
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <span>
 
 #include "apps/gravity/centroid_data.hpp"
-#include "core/interaction_list.hpp"
+#include "core/batch_eval.hpp"
 #include "tree/node.hpp"
-
-// Function multiversioning for the batched kernels: GCC and Clang emit a
-// default, an AVX2 and an AVX-512F body and pick one at load time from the
-// host CPU, so a portable binary still runs 4- and 8-wide lanes where the
-// units exist. Other architectures (and compilers without the attribute)
-// compile the plain body. The build uses -ffp-contract=off, so no clone
-// fuses a multiply-add that another rounds twice: every clone computes
-// the same bits. ThreadSanitizer builds compile the plain body too: the
-// loader calls the clone resolver before the TSan runtime has started,
-// and GCC instruments the resolver, so the binary would crash at startup.
-#if defined(__x86_64__) && defined(__has_attribute) && \
-    !defined(__SANITIZE_THREAD__)
-#if __has_attribute(target_clones)
-#define PARATREET_SIMD_CLONES \
-  __attribute__((target_clones("default", "avx2", "avx512f")))
-#endif
-#endif
-#ifndef PARATREET_SIMD_CLONES
-#define PARATREET_SIMD_CLONES
-#endif
 
 namespace paratreet {
 
@@ -40,25 +18,22 @@ struct GravityParams {
   bool use_quadrupole = true;
 };
 
-/// Acceleration and potential on a point at `pos` from a multipole
-/// expansion given by its total mass, centroid and traceless quadrupole
-/// (`quad` is read only with params.use_quadrupole). A node's centroid and
-/// quadrupole do not depend on the target, so callers evaluating many
-/// targets against one node compute them once.
-inline void gravApprox(double sum_mass, const Vec3& centroid,
-                       const SymTensor3& quad, const Vec3& pos,
+/// Acceleration and potential on a point at `pos` from the multipole
+/// expansion of `data` (the paper's gravApprox helper): the scalar
+/// reference for GravityVisitor's node term.
+inline void gravApprox(const CentroidData& data, const Vec3& pos,
                        const GravityParams& params, Vec3& accel,
                        double& potential) {
-  const Vec3 dr = pos - centroid;
+  const Vec3 dr = pos - data.centroid();
   const double r2 = dr.lengthSquared() + params.softening * params.softening;
   const double r = std::sqrt(r2);
   const double inv_r3 = 1.0 / (r2 * r);
-  accel += (-params.G * sum_mass * inv_r3) * dr;
-  potential += -params.G * sum_mass / r;
+  accel += (-params.G * data.sum_mass * inv_r3) * dr;
+  potential += -params.G * data.sum_mass / r;
   if (params.use_quadrupole) {
     // Traceless quadrupole: phi_Q = -G q_rr / (2 r^5),
     // a_Q = G [ Q dr / r^5 - (5/2) q_rr dr / r^7 ].
-    const Vec3 qd = quad.mul(dr);
+    const Vec3 qd = data.quadrupole().mul(dr);
     const double qrr = dr.dot(qd);
     const double inv_r5 = inv_r3 / r2;
     const double inv_r7 = inv_r5 / r2;
@@ -67,18 +42,11 @@ inline void gravApprox(double sum_mass, const Vec3& centroid,
   }
 }
 
-/// Acceleration and potential on a point at `pos` from the multipole
-/// expansion of `data` (the paper's gravApprox helper).
-inline void gravApprox(const CentroidData& data, const Vec3& pos,
-                       const GravityParams& params, Vec3& accel,
-                       double& potential) {
-  gravApprox(data.sum_mass, data.centroid(),
-             params.use_quadrupole ? data.quadrupole() : SymTensor3{}, pos,
-             params, accel, potential);
-}
-
 /// Pairwise Newtonian force on `pos` from one source particle (the
-/// paper's gravExact helper). Skips self-interaction (r = 0).
+/// paper's gravExact helper): the scalar reference the tests and
+/// baselines compare against. It has no target identity, so it skips
+/// every pair at r = 0 — self, but also a distinct body at the same
+/// point, which GravityVisitor's pair term (masking by identity) counts.
 inline void gravExact(const Particle& source, const Vec3& pos,
                       const GravityParams& params, Vec3& accel,
                       double& potential) {
@@ -91,90 +59,12 @@ inline void gravExact(const Particle& source, const Vec3& pos,
   potential += -params.G * source.mass / r;
 }
 
-/// Batched pairwise gravity over gathered SoA spans: every target reads
-/// the contiguous source arrays in a flat inner loop the compiler
-/// auto-vectorizes. Accumulation runs over 8 explicit lanes (reduced
-/// exactly as written, so no -ffast-math reassociation licence is
-/// needed) with a scalar tail. Self-interaction is masked by comparing
-/// Particle::order — index identity, not the inline path's exact
-/// floating-point dr2 == 0 test — and the `+ (1.0 - mask)` term keeps the
-/// masked lane's divisor nonzero.
-PARATREET_SIMD_CLONES
-inline void gravExactBatch(const SoaSources& src, const SoaTargets& tgt,
-                           const GravityParams& params,
-                           SpatialNode<CentroidData>& target) {
-  constexpr int kLanes = 8;
-  const double eps2 = params.softening * params.softening;
-  const double G = params.G;
-  const double* __restrict sx = src.x;
-  const double* __restrict sy = src.y;
-  const double* __restrict sz = src.z;
-  const double* __restrict sm = src.m;
-  const double* __restrict so = src.order;
-  for (int i = 0; i < tgt.n; ++i) {
-    const double px = tgt.x[i];
-    const double py = tgt.y[i];
-    const double pz = tgt.z[i];
-    const double self = tgt.order[i];
-    double ax[kLanes] = {}, ay[kLanes] = {}, az[kLanes] = {}, ph[kLanes] = {};
-    int j = 0;
-    for (; j + kLanes <= src.n; j += kLanes) {
-      for (int l = 0; l < kLanes; ++l) {
-        const double dx = px - sx[j + l];
-        const double dy = py - sy[j + l];
-        const double dz = pz - sz[j + l];
-        const double dr2 = dx * dx + dy * dy + dz * dz;
-        const double mask = (so[j + l] == self) ? 0.0 : 1.0;
-        const double r2 = dr2 + eps2 + (1.0 - mask);
-        const double r = std::sqrt(r2);
-        const double gm = G * sm[j + l] * mask;
-        const double inv_r = 1.0 / r;
-        // One division per pair: r^-3 = inv_r * inv_r^2 (a second vdivpd
-        // costs as much as the rest of the lane body combined).
-        const double gm_inv_r3 = gm * inv_r * (inv_r * inv_r);
-        ax[l] -= gm_inv_r3 * dx;
-        ay[l] -= gm_inv_r3 * dy;
-        az[l] -= gm_inv_r3 * dz;
-        ph[l] -= gm * inv_r;
-      }
-    }
-    double tax = 0.0, tay = 0.0, taz = 0.0, tph = 0.0;
-    for (; j < src.n; ++j) {
-      const double dx = px - sx[j];
-      const double dy = py - sy[j];
-      const double dz = pz - sz[j];
-      const double dr2 = dx * dx + dy * dy + dz * dz;
-      const double mask = (so[j] == self) ? 0.0 : 1.0;
-      const double r2 = dr2 + eps2 + (1.0 - mask);
-      const double r = std::sqrt(r2);
-      const double gm = G * sm[j] * mask;
-      const double inv_r = 1.0 / r;
-      const double gm_inv_r3 = gm * inv_r * (inv_r * inv_r);
-      tax -= gm_inv_r3 * dx;
-      tay -= gm_inv_r3 * dy;
-      taz -= gm_inv_r3 * dz;
-      tph -= gm * inv_r;
-    }
-    for (int l = 0; l < kLanes; ++l) {
-      tax += ax[l];
-      tay += ay[l];
-      taz += az[l];
-      tph += ph[l];
-    }
-    target.applyAcceleration(i, Vec3{tax, tay, taz});
-    target.applyPotential(i, tph);
-  }
-}
-
-namespace detail {
-
-/// A block of node multipoles derived into SoA form for gravApproxBatch:
+/// A block of node multipoles derived into SoA form for the node term:
 /// centroid, G·m and the traceless quadrupole scaled by G.
 struct MultipoleBlock {
-  static constexpr int kSize = 64;
-  double cx[kSize], cy[kSize], cz[kSize], gm[kSize];
-  double qxx[kSize], qxy[kSize], qxz[kSize], qyy[kSize], qyz[kSize],
-      qzz[kSize];
+  double cx[kNodeBlock], cy[kNodeBlock], cz[kNodeBlock], gm[kNodeBlock];
+  double qxx[kNodeBlock], qxy[kNodeBlock], qxz[kNodeBlock], qyy[kNodeBlock],
+      qyz[kNodeBlock], qzz[kNodeBlock];
 
   /// Derive node `k` of the block from `d` (the arithmetic of
   /// CentroidData::centroid() and quadrupole(), one reciprocal of the mass).
@@ -197,100 +87,6 @@ struct MultipoleBlock {
   }
 };
 
-/// One particle-node term of gravApprox against block entry `k`, with one
-/// 1/sqrt and r^-3, r^-5, r^-7 formed by multiplication.
-template <bool kQuadrupole>
-[[gnu::always_inline]] inline void approxTerm(const MultipoleBlock& b, int k,
-                                              double px, double py, double pz,
-                                              double eps2, double& ax,
-                                              double& ay, double& az,
-                                              double& ph) {
-  const double dx = px - b.cx[k];
-  const double dy = py - b.cy[k];
-  const double dz = pz - b.cz[k];
-  const double r2 = dx * dx + dy * dy + dz * dz + eps2;
-  const double inv_r = 1.0 / std::sqrt(r2);
-  const double inv_r2 = inv_r * inv_r;
-  const double inv_r3 = inv_r * inv_r2;
-  const double gm_inv_r3 = b.gm[k] * inv_r3;
-  ax -= gm_inv_r3 * dx;
-  ay -= gm_inv_r3 * dy;
-  az -= gm_inv_r3 * dz;
-  ph -= b.gm[k] * inv_r;
-  if constexpr (kQuadrupole) {
-    const double qdx = b.qxx[k] * dx + b.qxy[k] * dy + b.qxz[k] * dz;
-    const double qdy = b.qxy[k] * dx + b.qyy[k] * dy + b.qyz[k] * dz;
-    const double qdz = b.qxz[k] * dx + b.qyz[k] * dy + b.qzz[k] * dz;
-    const double qrr = dx * qdx + dy * qdy + dz * qdz;
-    const double inv_r5 = inv_r3 * inv_r2;
-    const double radial = 2.5 * qrr * (inv_r5 * inv_r2);
-    ax += qdx * inv_r5 - radial * dx;
-    ay += qdy * inv_r5 - radial * dy;
-    az += qdz * inv_r5 - radial * dz;
-    ph -= 0.5 * qrr * inv_r5;
-  }
-}
-
-/// Every target of the bucket against the first `n` entries of one block:
-/// 8 explicit accumulation lanes, a scalar tail, and a fixed-order
-/// reduction applied to the target once per block.
-template <bool kQuadrupole>
-[[gnu::always_inline]] inline void approxBlock(
-    const MultipoleBlock& b, int n, const SoaTargets& tgt, double eps2,
-    SpatialNode<CentroidData>& target) {
-  constexpr int kLanes = 8;
-  static_assert(MultipoleBlock::kSize % kLanes == 0);
-  for (int i = 0; i < tgt.n; ++i) {
-    const double px = tgt.x[i];
-    const double py = tgt.y[i];
-    const double pz = tgt.z[i];
-    double ax[kLanes] = {}, ay[kLanes] = {}, az[kLanes] = {}, ph[kLanes] = {};
-    int k = 0;
-    for (; k + kLanes <= n; k += kLanes) {
-      for (int l = 0; l < kLanes; ++l) {
-        approxTerm<kQuadrupole>(b, k + l, px, py, pz, eps2, ax[l], ay[l],
-                                az[l], ph[l]);
-      }
-    }
-    double tax = 0.0, tay = 0.0, taz = 0.0, tph = 0.0;
-    for (; k < n; ++k) {
-      approxTerm<kQuadrupole>(b, k, px, py, pz, eps2, tax, tay, taz, tph);
-    }
-    for (int l = 0; l < kLanes; ++l) {
-      tax += ax[l];
-      tay += ay[l];
-      taz += az[l];
-      tph += ph[l];
-    }
-    target.applyAcceleration(i, Vec3{tax, tay, taz});
-    target.applyPotential(i, tph);
-  }
-}
-
-}  // namespace detail
-
-/// Batched multipole gravity over a bucket's node-approximation list: the
-/// SoA counterpart of calling gravApprox for every (target, node) pair.
-/// Nodes are taken a block at a time; each node's multipole is derived
-/// once into the stack block, then every target streams the block in
-/// detail::approxBlock.
-PARATREET_SIMD_CLONES
-inline void gravApproxBatch(const CentroidData* nodes, int n,
-                            const SoaTargets& tgt, const GravityParams& params,
-                            SpatialNode<CentroidData>& target) {
-  const double eps2 = params.softening * params.softening;
-  detail::MultipoleBlock block{};
-  for (int base = 0; base < n; base += detail::MultipoleBlock::kSize) {
-    const int m = std::min(n - base, detail::MultipoleBlock::kSize);
-    for (int k = 0; k < m; ++k) block.set(k, nodes[base + k], params.G);
-    if (params.use_quadrupole) {
-      detail::approxBlock<true>(block, m, tgt, eps2, target);
-    } else {
-      detail::approxBlock<false>(block, m, tgt, eps2, target);
-    }
-  }
-}
-
 /// The Barnes-Hut gravity Visitor (paper Fig 7). A node is opened when
 /// the target bucket's box intersects the node's opening sphere — the
 /// sphere about the node centroid whose radius is b_max / theta, with
@@ -312,49 +108,87 @@ struct GravityVisitor {
     return d2 * params.theta * params.theta < b2;
   }
 
+  /// Both kernels run the terms below: EvalKernel::kBatched streams the
+  /// gathered lists through them in lanes, and the inline path's
+  /// node()/leaf() run them in order.
   void node(const SpatialNode<CentroidData>& source,
             SpatialNode<CentroidData>& target) const {
-    const Vec3 c = source.data.centroid();
-    const SymTensor3 q =
-        params.use_quadrupole ? source.data.quadrupole() : SymTensor3{};
-    for (int i = 0; i < target.n_particles; ++i) {
-      Vec3 accel{};
-      double phi = 0.0;
-      gravApprox(source.data.sum_mass, c, q, target.particle(i).position,
-                 params, accel, phi);
-      target.applyAcceleration(i, accel);
-      target.applyPotential(i, phi);
-    }
+    nodeTerms(*this, source.data, target);
   }
 
   void leaf(const SpatialNode<CentroidData>& source,
             SpatialNode<CentroidData>& target) const {
-    for (int i = 0; i < target.n_particles; ++i) {
-      Vec3 accel{};
-      double phi = 0.0;
-      const Vec3 pos = target.particle(i).position;
-      for (int j = 0; j < source.n_particles; ++j) {
-        gravExact(source.particle(j), pos, params, accel, phi);
-      }
-      target.applyAcceleration(i, accel);
-      target.applyPotential(i, phi);
+    pairTerms(*this, source, target);
+  }
+
+  /// Contributions are {ax, ay, az, potential}.
+  static constexpr int kFields = 4;
+
+  /// One source particle on target `t` (gravExact with one division).
+  /// Self-interaction is masked by identity, and the `+ (1.0 - mask)`
+  /// keeps the masked pair's divisor nonzero.
+  void pairTerm(const PointTarget& t, const PairSource& s, Lane acc) const {
+    const double dx = t.x - s.x;
+    const double dy = t.y - s.y;
+    const double dz = t.z - s.z;
+    const double dr2 = dx * dx + dy * dy + dz * dz;
+    const double mask = (s.order == t.order) ? 0.0 : 1.0;
+    const double eps2 = params.softening * params.softening;
+    const double r2 = dr2 + eps2 + (1.0 - mask);
+    const double inv_r = 1.0 / std::sqrt(r2);
+    const double gm = params.G * s.m * mask;
+    // r^-3 = inv_r * inv_r^2: a second division costs as much as the rest
+    // of the term combined.
+    const double gm_inv_r3 = gm * inv_r * (inv_r * inv_r);
+    acc[0] -= gm_inv_r3 * dx;
+    acc[1] -= gm_inv_r3 * dy;
+    acc[2] -= gm_inv_r3 * dz;
+    acc[3] -= gm * inv_r;
+  }
+
+  using NodeBlock = MultipoleBlock;
+  void summarize(MultipoleBlock& b, int k, const CentroidData& d) const {
+    b.set(k, d, params.G);
+  }
+
+  /// The node term is compiled with and without the quadrupole.
+  bool nodeSwitch() const { return params.use_quadrupole; }
+
+  /// Block entry `k`'s multipole on target `t` (gravApprox with one
+  /// 1/sqrt, and r^-3, r^-5, r^-7 formed by multiplication).
+  template <bool kQuadrupole>
+  void nodeTerm(const PointTarget& t, const MultipoleBlock& b, int k,
+                Lane acc) const {
+    const double dx = t.x - b.cx[k];
+    const double dy = t.y - b.cy[k];
+    const double dz = t.z - b.cz[k];
+    const double r2 =
+        dx * dx + dy * dy + dz * dz + params.softening * params.softening;
+    const double inv_r = 1.0 / std::sqrt(r2);
+    const double inv_r2 = inv_r * inv_r;
+    const double inv_r3 = inv_r * inv_r2;
+    const double gm_inv_r3 = b.gm[k] * inv_r3;
+    acc[0] -= gm_inv_r3 * dx;
+    acc[1] -= gm_inv_r3 * dy;
+    acc[2] -= gm_inv_r3 * dz;
+    acc[3] -= b.gm[k] * inv_r;
+    if constexpr (kQuadrupole) {
+      const double qdx = b.qxx[k] * dx + b.qxy[k] * dy + b.qxz[k] * dz;
+      const double qdy = b.qxy[k] * dx + b.qyy[k] * dy + b.qyz[k] * dz;
+      const double qdz = b.qxz[k] * dx + b.qyz[k] * dy + b.qzz[k] * dz;
+      const double qrr = dx * qdx + dy * qdy + dz * qdz;
+      const double inv_r5 = inv_r3 * inv_r2;
+      const double radial = 2.5 * qrr * (inv_r5 * inv_r2);
+      acc[0] += qdx * inv_r5 - radial * dx;
+      acc[1] += qdy * inv_r5 - radial * dy;
+      acc[2] += qdz * inv_r5 - radial * dz;
+      acc[3] -= 0.5 * qrr * inv_r5;
     }
   }
 
-  /// Batch hook (EvalKernel::kBatched): the bucket's whole
-  /// node-approximation list, arriving contiguous, through the vectorized
-  /// multipole kernel.
-  void nodeBatch(const CentroidData* nodes, int n,
-                 SpatialNode<CentroidData>& target,
-                 const SoaTargets& tgt) const {
-    gravApproxBatch(nodes, n, tgt, params, target);
-  }
-
-  /// Batch hook (EvalKernel::kBatched): the bucket's direct list,
-  /// gathered into SoA spans, through the vectorized pairwise kernel.
-  void leafBatch(const SoaSources& src, SpatialNode<CentroidData>& target,
-                 const SoaTargets& tgt) const {
-    gravExactBatch(src, tgt, params, target);
+  void apply(Particle& p, const double* sum) const {
+    p.acceleration += Vec3{sum[0], sum[1], sum[2]};
+    p.potential += sum[3];
   }
 };
 

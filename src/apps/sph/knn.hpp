@@ -1,12 +1,13 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
-#include "apps/sph/kernel.hpp"
-#include "core/interaction_list.hpp"
+#include "core/batch_eval.hpp"
 #include "tree/node.hpp"
 #include "tree/particle.hpp"
 
@@ -145,87 +146,54 @@ struct FixedBallDensityVisitor {
 
   void node(const SpatialNode<Data>&, SpatialNode<Data>&) const {}
 
+  /// The inline path checks each target's ball against the leaf box
+  /// before its pair loop. EvalKernel::kBatched drops that precheck: a
+  /// leaf farther than the ball contributes no pair anyway (box distance
+  /// lower-bounds every pair distance), so the d2 < ball2 mask alone
+  /// yields the same set of contributions (self included).
+  /// neighbor_count is an exact integer either way; density differs only
+  /// by summation order.
   void leaf(const SpatialNode<Data>& source, SpatialNode<Data>& target) const {
-    for (int i = 0; i < target.n_particles; ++i) {
-      Particle& p = target.particle(i);
-      if (p.ball2 <= 0.0 ||
-          source.box.distanceSquared(p.position) >= p.ball2) {
-        continue;
-      }
-      // The search ball has radius 2h (the kernel support).
-      const double h = 0.5 * std::sqrt(p.ball2);
-      for (int j = 0; j < source.n_particles; ++j) {
-        const Particle& q = source.particle(j);
-        const double d2 = distanceSquared(p.position, q.position);
-        if (d2 < p.ball2) {
-          p.density += q.mass * sph::kernelW(std::sqrt(d2), h);
-          p.neighbor_count += 1;
-        }
-      }
-    }
+    pairTerms(*this, source, target, [&](const Particle& p) {
+      return source.box.distanceSquared(p.position) < p.ball2;
+    });
   }
 
-  /// Batch hook (EvalKernel::kBatched): the bucket's concatenated direct
-  /// list through a branchless masked cubic spline. The inline path's
-  /// per-leaf box precheck is dropped — a leaf farther than the ball can
-  /// contribute no pair anyway (box distance lower-bounds every pair
-  /// distance), so the d2 < ball2 mask alone reproduces the same set of
-  /// contributions (self included, as inline). neighbor_count is an exact
-  /// integer either way; density differs only by summation order.
-  void leafBatch(const SoaSources& src, SpatialNode<Data>& target,
-                 const SoaTargets& tgt) const {
-    constexpr int kLanes = 8;
-    const double* __restrict sx = src.x;
-    const double* __restrict sy = src.y;
-    const double* __restrict sz = src.z;
-    const double* __restrict sm = src.m;
-    for (int i = 0; i < tgt.n; ++i) {
-      Particle& p = target.particle(i);
-      const double ball2 = p.ball2;
-      if (ball2 <= 0.0) continue;
-      const double h = 0.5 * std::sqrt(ball2);
-      const double sigma = 1.0 / (3.14159265358979323846 * h * h * h);
-      const double px = tgt.x[i];
-      const double py = tgt.y[i];
-      const double pz = tgt.z[i];
-      double dens[kLanes] = {};
-      std::int32_t cnt[kLanes] = {};
-      int j = 0;
-      for (; j + kLanes <= src.n; j += kLanes) {
-        for (int l = 0; l < kLanes; ++l) {
-          const double dx = px - sx[j + l];
-          const double dy = py - sy[j + l];
-          const double dz = pz - sz[j + l];
-          const double d2 = dx * dx + dy * dy + dz * dz;
-          const bool in = d2 < ball2;
-          const double q = std::sqrt(d2) / h;
-          const double t = 2.0 - q;  // > 0 whenever `in`
-          const double wa = 1.0 - 1.5 * q * q + 0.75 * q * q * q;
-          const double wb = 0.25 * t * t * t;
-          const double w = sigma * (q < 1.0 ? wa : wb);
-          dens[l] += in ? sm[j + l] * w : 0.0;
-          cnt[l] += in ? 1 : 0;
-        }
-      }
-      double tdens = 0.0;
-      std::int32_t tcnt = 0;
-      for (; j < src.n; ++j) {
-        const double dx = px - sx[j];
-        const double dy = py - sy[j];
-        const double dz = pz - sz[j];
-        const double d2 = dx * dx + dy * dy + dz * dz;
-        if (d2 < ball2) {
-          tdens += sm[j] * sph::kernelW(std::sqrt(d2), h);
-          tcnt += 1;
-        }
-      }
-      for (int l = 0; l < kLanes; ++l) {
-        tdens += dens[l];
-        tcnt += cnt[l];
-      }
-      p.density += tdens;
-      p.neighbor_count += tcnt;
-    }
+  /// Contributions are {density, neighbour count}.
+  static constexpr int kFields = 2;
+
+  /// Per-target constants: the search ball and the kernel's h and sigma.
+  struct Target {
+    double x, y, z, ball2, h, sigma;
+  };
+  std::optional<Target> target(const Particle& p) const {
+    if (p.ball2 <= 0.0) return std::nullopt;
+    // The search ball has radius 2h (the kernel support).
+    const double h = 0.5 * std::sqrt(p.ball2);
+    return Target{p.position.x, p.position.y, p.position.z, p.ball2, h,
+                  1.0 / (3.14159265358979323846 * h * h * h)};
+  }
+
+  /// Source `s` inside the ball: sph::kernelW as a branchless masked
+  /// cubic spline.
+  void pairTerm(const Target& t, const PairSource& s, Lane acc) const {
+    const double dx = t.x - s.x;
+    const double dy = t.y - s.y;
+    const double dz = t.z - s.z;
+    const double d2 = dx * dx + dy * dy + dz * dz;
+    const bool in = d2 < t.ball2;
+    const double q = std::sqrt(d2) / t.h;
+    const double u = 2.0 - q;  // > 0 whenever `in`
+    const double wa = 1.0 - 1.5 * q * q + 0.75 * q * q * q;
+    const double wb = 0.25 * u * u * u;
+    const double w = t.sigma * (q < 1.0 ? wa : wb);
+    acc[0] += in ? s.m * w : 0.0;
+    acc[1] += in ? 1.0 : 0.0;
+  }
+
+  void apply(Particle& p, const double* sum) const {
+    p.density += sum[0];
+    p.neighbor_count += static_cast<int>(sum[1]);
   }
 };
 

@@ -1,37 +1,242 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 
 #include "core/interaction_list.hpp"
 #include "tree/node.hpp"
 #include "util/timer.hpp"
 
+// Function multiversioning for the lane evaluator: GCC and Clang emit a
+// default, an AVX2 and an AVX-512F body of evalPairs/evalNodes and pick
+// one at load time from the host CPU, so a portable binary still runs 4-
+// and 8-wide lanes where the units exist. Both are also `flatten`: every
+// call inside them, the visitor's terms included, is inlined into each
+// clone (a call left out of line runs the default body's ISA; an
+// out-of-line node-block lambda measured 2.3x slower). Other
+// architectures (and compilers without the attribute) compile the plain
+// body. The build uses -ffp-contract=off, so no clone
+// fuses a multiply-add that another rounds twice: every clone computes
+// the same bits. ThreadSanitizer builds compile the plain body too: the
+// loader calls the clone resolver before the TSan runtime has started,
+// and GCC instruments the resolver, so the binary would crash at startup.
+#if defined(__x86_64__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__)
+#if __has_attribute(target_clones)
+#define PARATREET_SIMD_CLONES \
+  __attribute__((target_clones("default", "avx2", "avx512f")))
+#endif
+#endif
+#ifndef PARATREET_SIMD_CLONES
+#define PARATREET_SIMD_CLONES
+#endif
+
 namespace paratreet {
 
-/// Batch-hook detection. A Visitor may optionally provide, on top of the
-/// paper's open()/node()/leaf():
+/// Vectorized evaluation: the term protocol. A Visitor writes each
+/// interaction once, as a scalar term for one target against one source,
+/// and the framework owns the loops around it — 8 accumulation lanes, the
+/// scalar tail, the fixed-order lane reduction, the 64-entry node blocks
+/// and the ISA dispatch. On top of the paper's open()/node()/leaf() a
+/// visitor may provide:
 ///
-///   void nodeBatch(const Data* nodes, int n, SpatialNode<Data>& target,
-///                  const SoaTargets& tgt) const;
-///   void leafBatch(const SoaSources& src, SpatialNode<Data>& target,
-///                  const SoaTargets& tgt) const;
+///   static constexpr int kFields;  // doubles per contribution
+///   void pairTerm(const Target& t, const PairSource& s, Lane acc) const;
+///   void apply(Particle& p, const double* sum) const;  // sum[kFields]
 ///
-/// nodeBatch consumes the bucket's whole node-approximation list at once
-/// (summaries gathered contiguous); leafBatch consumes the concatenated
-/// SoA gather of every direct-list source span. Hooks absent => the
-/// evaluator replays the recorded per-pair callbacks instead, in recorded
-/// order, so plain paper-style visitors work unchanged under
-/// EvalKernel::kBatched.
-template <typename V, typename Data>
-concept HasNodeBatch =
-    requires(const V v, const Data* d, int n, SpatialNode<Data>& t,
-             const SoaTargets& st) { v.nodeBatch(d, n, t, st); };
+/// and, for node approximations, a block of derived summaries:
+///
+///   using NodeBlock = ...;  // kNodeBlock entries, SoA, app layout
+///   void summarize(NodeBlock& b, int k, const Data& d) const;
+///   void nodeTerm(const Target& t, const NodeBlock& b, int k,
+///                 Lane acc) const;
+///
+/// A node term with a run-time switch inside (gravity's quadrupole) would
+/// keep the lanes from vectorizing; such a visitor instead writes
+/// `template <bool kOn> void nodeTerm(...)` plus `bool nodeSwitch() const`,
+/// and the evaluator compiles its loops once per value.
+///
+/// A term adds its contribution into acc[0 .. kFields). `Target` is
+/// PointTarget unless the visitor defines
+/// `std::optional<Target> target(const Particle& p) const` (per-target
+/// constants hoisted out of the source loop; nullopt skips the target).
+/// EvalKernel::kBatched streams the gathered lists through the terms in
+/// lanes; the visitor's own leaf()/node() call pairTerms()/nodeTerms()
+/// below, which run the same terms in order, so each formula exists once.
+/// Without terms the evaluator replays the recorded node()/leaf()
+/// callbacks in recorded order instead, so plain paper-style visitors
+/// work unchanged (and bitwise) under EvalKernel::kBatched.
 
-template <typename V, typename Data>
-concept HasLeafBatch =
-    requires(const V v, const SoaSources& s, SpatialNode<Data>& t,
-             const SoaTargets& st) { v.leafBatch(s, t, st); };
+/// Accumulation lanes per target (one AVX-512 vector of doubles).
+inline constexpr int kLanes = 8;
+/// Node summaries derived per NodeBlock.
+inline constexpr int kNodeBlock = 64;
+
+/// The target a term sees unless the visitor defines target():
+/// position and identity (Particle::order, as PairSource carries it).
+struct PointTarget {
+  double x, y, z, order;
+};
+
+/// One accumulation lane, `l`, of a field-major lane block
+/// `double lanes[F][kLanes]`: each field's lanes stay contiguous for the
+/// vectorizer.
+class Lane {
+ public:
+  Lane(double (*lanes)[kLanes], int l) : lanes_(lanes), l_(l) {}
+  double& operator[](int f) const { return lanes_[f][l_]; }
+
+ private:
+  double (*lanes_)[kLanes];
+  int l_;
+};
+
+template <typename V>
+concept HasPairTerm = requires { V::kFields; &V::pairTerm; &V::apply; };
+
+template <typename V>
+concept HasNodeTerm = requires { typename V::NodeBlock; };
+
+/// Call fn with the visitor's node term as a callable, resolving
+/// nodeSwitch() once so the term inside fn's loops has no branch.
+template <typename V, typename Fn>
+[[gnu::always_inline]] inline void withNodeTerm(const V& v, const Fn& fn) {
+  if constexpr (requires { v.nodeSwitch(); }) {
+    if (v.nodeSwitch()) {
+      fn([&v](const auto&... a) { v.template nodeTerm<true>(a...); });
+    } else {
+      fn([&v](const auto&... a) { v.template nodeTerm<false>(a...); });
+    }
+  } else {
+    fn([&v](const auto&... a) { v.nodeTerm(a...); });
+  }
+}
+
+/// The visitor's target for `p` (PointTarget by default).
+template <typename V>
+auto targetOf(const V& v, const Particle& p) {
+  if constexpr (requires { v.target(p); }) {
+    return v.target(p);
+  } else {
+    return std::optional<PointTarget>(
+        PointTarget{p.position.x, p.position.y, p.position.z,
+                    static_cast<double>(p.order)});
+  }
+}
+
+/// sum[f] over terms 0..n-1, in order, through one lane: the visitor path
+/// and, over the last n % kLanes terms, the lane evaluator's tail.
+template <int F, typename Term>
+[[gnu::always_inline]] inline void orderedSum(int k, int n, const Term& term,
+                                              double (&sum)[F]) {
+  double acc[F][kLanes] = {};
+  for (; k < n; ++k) term(k, Lane(acc, 0));
+  for (int f = 0; f < F; ++f) sum[f] = acc[f][0];
+}
+
+/// sum[f] over terms 0..n-1 in kLanes explicit lanes, a scalar tail and a
+/// fixed-order reduction (tail, then lane 0..kLanes-1), so the result is
+/// the same on every ISA clone and needs no -ffast-math licence.
+template <int F, typename Term>
+[[gnu::always_inline]] inline void laneSum(int n, const Term& term,
+                                           double (&sum)[F]) {
+  double lanes[F][kLanes] = {};
+  int k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    for (int l = 0; l < kLanes; ++l) term(k + l, Lane(lanes, l));
+  }
+  orderedSum(k, n, term, sum);
+  for (int f = 0; f < F; ++f) {
+    for (int l = 0; l < kLanes; ++l) sum[f] += lanes[f][l];
+  }
+}
+
+/// Every target of `target` against every gathered source, in lanes.
+template <typename Visitor, typename Data>
+[[gnu::flatten]] PARATREET_SIMD_CLONES void evalPairs(
+    const Visitor& v, const SoaSources& src, SpatialNode<Data>& target) {
+  for (int i = 0; i < target.n_particles; ++i) {
+    Particle& p = target.particle(i);
+    const auto t = targetOf(v, p);
+    if (!t) continue;
+    double sum[Visitor::kFields];
+    laneSum(src.n, [&](int j, Lane acc) { v.pairTerm(*t, src[j], acc); },
+            sum);
+    v.apply(p, sum);
+  }
+}
+
+/// Every target of `target` against the `n` node summaries, a
+/// kNodeBlock block at a time: each summary is derived once into the
+/// block, then every target streams the block in lanes.
+template <typename Visitor, typename Data>
+[[gnu::flatten]] PARATREET_SIMD_CLONES void evalNodes(
+    const Visitor& v, const Data* nodes, int n, SpatialNode<Data>& target) {
+  typename Visitor::NodeBlock block{};
+  withNodeTerm(v, [&](const auto& term) {
+    for (int base = 0; base < n; base += kNodeBlock) {
+      const int m = std::min(n - base, kNodeBlock);
+      for (int k = 0; k < m; ++k) v.summarize(block, k, nodes[base + k]);
+      for (int i = 0; i < target.n_particles; ++i) {
+        Particle& p = target.particle(i);
+        const auto t = targetOf(v, p);
+        if (!t) continue;
+        double sum[Visitor::kFields];
+        laneSum(m, [&](int k, Lane acc) { term(*t, block, k, acc); }, sum);
+        v.apply(p, sum);
+      }
+    }
+  });
+}
+
+/// The visitor path's leaf(): every target of `target` against the
+/// particles of leaf `source`, in source order. `keep(p)` may skip a
+/// target for this leaf (a cheap per-leaf precheck).
+template <typename Visitor, typename Data, typename Keep>
+void pairTerms(const Visitor& v, const SpatialNode<Data>& source,
+               SpatialNode<Data>& target, const Keep& keep) {
+  for (int i = 0; i < target.n_particles; ++i) {
+    Particle& p = target.particle(i);
+    if (!keep(p)) continue;
+    const auto t = targetOf(v, p);
+    if (!t) continue;
+    double sum[Visitor::kFields];
+    orderedSum(
+        0, source.n_particles,
+        [&](int j, Lane acc) {
+          v.pairTerm(*t, PairSource::of(source.particle(j)), acc);
+        },
+        sum);
+    v.apply(p, sum);
+  }
+}
+
+template <typename Visitor, typename Data>
+void pairTerms(const Visitor& v, const SpatialNode<Data>& source,
+               SpatialNode<Data>& target) {
+  pairTerms(v, source, target, [](const Particle&) { return true; });
+}
+
+/// The visitor path's node(): every target of `target` against one
+/// summary, through the same node term (one derived block entry).
+template <typename Visitor, typename Data>
+void nodeTerms(const Visitor& v, const Data& source,
+               SpatialNode<Data>& target) {
+  typename Visitor::NodeBlock block;
+  v.summarize(block, 0, source);
+  withNodeTerm(v, [&](const auto& term) {
+    for (int i = 0; i < target.n_particles; ++i) {
+      Particle& p = target.particle(i);
+      const auto t = targetOf(v, p);
+      if (!t) continue;
+      double sum[Visitor::kFields];
+      orderedSum(0, 1, [&](int, Lane acc) { term(*t, block, 0, acc); }, sum);
+      v.apply(p, sum);
+    }
+  });
+}
 
 /// Whether batched traversals record the node-approximation list for this
 /// visitor. Visitors whose node() is a no-op (pure neighbour searches)
@@ -80,25 +285,23 @@ template <typename Data, typename Visitor>
 class BatchEvaluator {
  public:
   struct Totals {
-    double node_seconds = 0.0;    ///< time in nodeBatch / node() replay
-    double leaf_seconds = 0.0;    ///< time in leafBatch / leaf() replay
-    double replay_seconds = 0.0;  ///< interleaved bitwise replay (no hooks)
+    double node_seconds = 0.0;    ///< time in node terms / node() replay
+    double leaf_seconds = 0.0;    ///< time in pair terms / leaf() replay
+    double replay_seconds = 0.0;  ///< interleaved bitwise replay (no terms)
   };
 
   BatchEvaluator(const Visitor& visitor, BatchScratch<Data>& scratch,
                  const InteractionArena<Data>& arena)
       : visitor_(visitor), scratch_(scratch), arena_(arena) {}
 
-  /// Apply bucket `b`'s recorded interactions to its particles. Does not
-  /// clear the list (the caller owns its lifetime). Requires
-  /// scratch_.prepareTargets() to have laid out bucket b's target slice.
-  void evaluate(const InteractionList<Data>& list, SpatialNode<Data> target,
-                std::uint32_t b) {
+  /// Apply `target`'s recorded interactions to its particles. Does not
+  /// clear the list (the caller owns its lifetime).
+  void evaluate(const InteractionList<Data>& list, SpatialNode<Data> target) {
     if (list.empty() || target.n_particles == 0) return;
-    constexpr bool node_hook = HasNodeBatch<Visitor, Data>;
-    constexpr bool leaf_hook = HasLeafBatch<Visitor, Data>;
-    if constexpr (!node_hook && !leaf_hook) {
-      // No batch kernels: replay the callbacks in recorded order, which
+    constexpr bool node_terms = HasNodeTerm<Visitor>;
+    constexpr bool pair_terms = HasPairTerm<Visitor>;
+    if constexpr (!node_terms && !pair_terms) {
+      // No terms: replay the callbacks in recorded order, which
       // reproduces the inline visitor path bitwise.
       WallTimer timer;
       list.forEachRecorded(arena_, [&](bool is_leaf, const Node<Data>& node) {
@@ -111,13 +314,12 @@ class BatchEvaluator {
       totals_.replay_seconds += timer.seconds();
       return;
     }
-    const SoaTargets tgt = gatherTargets(target, b);
     {
       WallTimer timer;
-      if constexpr (node_hook) {
+      if constexpr (node_terms) {
         if (list.nodeCount() > 0) {
           const int n = gatherNodes(list);
-          visitor_.nodeBatch(scratch_.node_data.data(), n, target, tgt);
+          evalNodes(visitor_, scratch_.node_data.data(), n, target);
         }
       } else {
         list.forEachRecorded(arena_, [&](bool is_leaf, const Node<Data>& node) {
@@ -128,9 +330,9 @@ class BatchEvaluator {
     }
     {
       WallTimer timer;
-      if constexpr (leaf_hook) {
+      if constexpr (pair_terms) {
         if (list.directSources() > 0) {
-          visitor_.leafBatch(gatherSources(list), target, tgt);
+          evalPairs(visitor_, gatherSources(list), target);
         }
       } else {
         list.forEachRecorded(arena_, [&](bool is_leaf, const Node<Data>& node) {
@@ -144,29 +346,8 @@ class BatchEvaluator {
   const Totals& totals() const { return totals_; }
 
  private:
-  /// Bucket b's slice of the per-build persistent target gather,
-  /// populated on first touch this build and reused by every later drain
-  /// (positions don't move between builds).
-  SoaTargets gatherTargets(SpatialNode<Data>& target, std::uint32_t b) {
-    const std::size_t off = scratch_.target_offset[b];
-    const auto n = static_cast<std::size_t>(target.n_particles);
-    if (!scratch_.target_ready[b]) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const Particle& p = target.particle(static_cast<int>(i));
-        scratch_.tx[off + i] = p.position.x;
-        scratch_.ty[off + i] = p.position.y;
-        scratch_.tz[off + i] = p.position.z;
-        scratch_.torder[off + i] = static_cast<double>(p.order);
-      }
-      scratch_.target_ready[b] = 1;
-    }
-    return SoaTargets{scratch_.tx.data() + off, scratch_.ty.data() + off,
-                      scratch_.tz.data() + off, scratch_.torder.data() + off,
-                      target.n_particles};
-  }
-
   /// Copy the bucket's pruned-node summaries into one contiguous run (the
-  /// form nodeBatch streams). Each distinct summary is pulled out of its
+  /// form evalNodes streams). Each distinct summary is pulled out of its
   /// ~250-byte-stride Node once per traversal into the compact pool;
   /// repeat references (the same node pruned against many buckets) read
   /// the pool instead of re-touching scattered tree/cache storage.

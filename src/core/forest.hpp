@@ -246,13 +246,9 @@ class Forest {
   void build() {
     obs::TraceSpan span(instr_.trace, "build", "phase");
     split_buckets_ = 0;
-    // New build epoch: bucket identities (and hence the persistent target
-    // gathers keyed by the epoch) are invalidated.
-    ++build_epoch_;
     for (auto& pp : partitions_) {
       pp->clear();
       pp->measured_load = 0.0;
-      pp->build_epoch = build_epoch_;
     }
     caches_.clear();
     caches_.resize(static_cast<std::size_t>(rt_.numProcs()));
@@ -762,9 +758,6 @@ class Forest {
   std::deque<CacheManager<Data>> caches_;
 
   std::atomic<std::size_t> split_buckets_{0};
-  /// Monotone tree-build counter; stamped onto every Partition so the
-  /// persistent per-bucket target gathers know when buckets changed.
-  std::uint64_t build_epoch_{0};
   std::vector<int> placement_override_;
   /// Ranks chares may be placed on; refreshed by decompose().
   std::vector<int> live_procs_;

@@ -141,18 +141,13 @@ class InteractionList {
 /// buffers warm up once and survive across buckets, traversals, and
 /// iterations; accessed only under the Partition's run_mutex.
 ///
-/// Three lifetimes live here:
+/// Two lifetimes live here:
 ///  - per-bucket staging (node_data, s*): valid for one evaluate() call;
 ///  - per-traversal pools (p*, node_pool, keyed by arena slot): each
 ///    distinct leaf's particles and each distinct pruned summary are
 ///    converted to SoA/contiguous form once per traversal, and every
 ///    bucket that references them gathers with bulk copies from the pool
-///    instead of re-striding the ~150-byte AoS particles;
-///  - per-build target gathers (t*, keyed by the forest build epoch):
-///    target positions are immutable during traversal (visitors write
-///    accelerations/potentials/densities only), so the SoA gather of a
-///    bucket's targets is computed once per build and reused by every
-///    drain and every traversal of that build.
+///    instead of re-striding the ~150-byte AoS particles.
 template <typename Data>
 struct BatchScratch {
   // --- per-bucket staging --------------------------------------------------
@@ -166,36 +161,6 @@ struct BatchScratch {
   /// arena slot -> index into node_pool; -1 = uncopied.
   std::vector<std::int32_t> node_slot;
   std::vector<Data> node_pool;
-
-  // --- per-build persistent target gathers ---------------------------------
-  std::uint64_t target_epoch{0};  ///< forest build epoch of the t* arrays
-  std::vector<std::size_t> target_offset;  ///< bucket -> offset (nb+1 entries)
-  std::vector<std::uint8_t> target_ready;  ///< bucket -> gathered this build?
-  std::vector<double> tx, ty, tz, torder;
-
-  /// Lay out the per-bucket target slices for this build epoch. No-op
-  /// when the epoch matches (a later traversal of the same build), which
-  /// is what preserves the gathered slices across traversals.
-  template <typename Buckets>
-  void prepareTargets(const Buckets& buckets, std::uint64_t epoch) {
-    if (epoch == target_epoch && target_offset.size() == buckets.size() + 1) {
-      return;
-    }
-    target_epoch = epoch;
-    const std::size_t nb = buckets.size();
-    target_offset.resize(nb + 1);
-    std::size_t run = 0;
-    for (std::size_t b = 0; b < nb; ++b) {
-      target_offset[b] = run;
-      run += buckets[b].particles.size();
-    }
-    target_offset[nb] = run;
-    target_ready.assign(nb, 0);
-    tx.resize(run);
-    ty.resize(run);
-    tz.resize(run);
-    torder.resize(run);
-  }
 
   /// Invalidate the arena-keyed pools (arena slots are reassigned every
   /// traversal). Keeps capacity.
@@ -211,12 +176,23 @@ struct BatchScratch {
   }
 };
 
-/// Read-only SoA view of a gathered source batch, handed to leafBatch()
-/// hooks. `order` carries Particle::order so kernels can mask
-/// self-interaction by index instead of testing dr2 == 0. It is stored
-/// as double — exact for any order below 2^53 — so the comparison stays
-/// in the FP pipeline and the mask select vectorizes with the rest of
-/// the lane body (an int load in the inner loop defeats SLP).
+/// One source particle as a pair term sees it. `order` carries
+/// Particle::order so terms can mask self-interaction by identity instead
+/// of testing dr2 == 0. It is a double — exact for any order below 2^53 —
+/// so the comparison stays in the FP pipeline and the mask select
+/// vectorizes with the rest of the lane body (an int load in the inner
+/// loop defeats SLP).
+struct PairSource {
+  double x, y, z, m, order;
+
+  static PairSource of(const Particle& p) {
+    return {p.position.x, p.position.y, p.position.z, p.mass,
+            static_cast<double>(p.order)};
+  }
+};
+
+/// Read-only SoA view of a gathered source batch: the direct list the
+/// lane evaluator streams through a visitor's pair term.
 struct SoaSources {
   const double* x{nullptr};
   const double* y{nullptr};
@@ -224,17 +200,10 @@ struct SoaSources {
   const double* m{nullptr};
   const double* order{nullptr};
   int n{0};
-};
 
-/// Read-only SoA view of the target bucket's particles; index-aligned
-/// with SpatialNode::particle(i), so hooks read positions from the
-/// contiguous arrays and scatter results through the target view once.
-struct SoaTargets {
-  const double* x{nullptr};
-  const double* y{nullptr};
-  const double* z{nullptr};
-  const double* order{nullptr};
-  int n{0};
+  PairSource operator[](int j) const {
+    return {x[j], y[j], z[j], m[j], order[j]};
+  }
 };
 
 }  // namespace paratreet

@@ -56,11 +56,11 @@ struct Partition {
   /// balancers.
   double measured_load{0.0};
 
-  /// SoA staging arrays, per-traversal source/summary pools, and the
-  /// per-build persistent target gathers for the batched evaluation
-  /// phase (EvalKernel::kBatched). Owned here so the buffers warm up
-  /// once and are reused across buckets, traversals, and iterations;
-  /// accessed only under run_mutex (drains run as chare-style tasks).
+  /// SoA staging arrays and per-traversal source/summary pools for the
+  /// batched evaluation phase (EvalKernel::kBatched). Owned here so the
+  /// buffers warm up once and are reused across buckets, traversals, and
+  /// iterations; accessed only under run_mutex (drains run as
+  /// chare-style tasks).
   BatchScratch<Data> batch_scratch;
 
   /// Node table the interaction lists index into, rebuilt per traversal
@@ -74,12 +74,6 @@ struct Partition {
   /// by the traversal's finish phase) before the next build invalidates
   /// the recorded node pointers.
   std::vector<InteractionList<Data>> interaction_lists;
-
-  /// Forest build epoch the current buckets belong to, stamped by
-  /// Forest::build(); keys the persistent target gathers in
-  /// batch_scratch (a rebuild or recovery bumps the epoch and
-  /// invalidates them).
-  std::uint64_t build_epoch{0};
 
   void addBucket(Bucket<Data> bucket) {
     std::lock_guard lock(intake_mutex);

@@ -31,7 +31,7 @@ namespace paratreet {
 /// generality" technique. Under EvalKernel::kBatched the node()/leaf()
 /// consequences are recorded as per-bucket interaction lists instead and
 /// drained as buckets seal (or after the walk, BatchDrain::kBarrier),
-/// optionally through the visitor's batch hooks; see core/batch_eval.hpp.
+/// through the visitor's terms when it has them; see core/batch_eval.hpp.
 
 /// Type-erased base so the Driver can keep heterogeneous traversers alive
 /// until the iteration drains.
@@ -174,8 +174,6 @@ class InteractionRecorder {
     for (auto& list : partition_.interaction_lists) list.clear();
     partition_.interaction_arena.clear();
     partition_.batch_scratch.resetPools();
-    partition_.batch_scratch.prepareTargets(partition_.buckets,
-                                            partition_.build_epoch);
     outstanding_.assign(nb, 1u);
     drained_.assign(nb, 0);
     sealed_ready_.clear();
@@ -307,7 +305,7 @@ class InteractionRecorder {
     if (drained_[b] != 0) return;
     drained_[b] = 1;
     evaluator_->evaluate(partition_.interaction_lists[b],
-                         partition_.buckets[b].view(), b);
+                         partition_.buckets[b].view());
     partition_.interaction_lists[b].clear();
   }
 

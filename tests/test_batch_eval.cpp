@@ -1,8 +1,8 @@
 // Batched two-phase evaluation (EvalKernel::kBatched) must agree with
-// the inline visitor path: bitwise for hook-free visitors on a
+// the inline visitor path: bitwise for term-free visitors on a
 // deterministic configuration (the replay runs the identical callbacks
-// in the identical order), and to tight relative tolerance for SoA
-// batch hooks (lane-blocked accumulation reassociates the sums).
+// in the identical order), and to tight relative tolerance for visitors
+// with terms (lane-blocked accumulation reassociates the sums).
 
 #include <gtest/gtest.h>
 
@@ -44,7 +44,7 @@ Configuration bitwiseConfig() {
   return conf;
 }
 
-/// GravityVisitor stripped of its batch hooks: under kBatched the
+/// GravityVisitor stripped of its terms: under kBatched the
 /// evaluator has nothing to vectorize and replays the recorded
 /// callbacks, which must reproduce the inline path bitwise.
 struct PlainGravityVisitor {
@@ -96,7 +96,7 @@ TYPED_TEST_SUITE(BatchEvalTreeTest, TreeTypes);
 
 TYPED_TEST(BatchEvalTreeTest, GravityBatchedMatchesVisitorBothStyles) {
   // One worker per proc: each kernel's own run is deterministic, so only
-  // the batch hooks' lane-blocked reassociation separates the results.
+  // the lane evaluator's reassociation separates the results.
   rts::Runtime rt({2, 1});
   for (const TraversalStyle style :
        {TraversalStyle::kTransposed, TraversalStyle::kPerBucket}) {
@@ -225,7 +225,7 @@ TYPED_TEST(BatchEvalTreeTest, OverlapMatchesBarrierBitwise) {
   // the bulk-synchronous barrier drain, and per-bucket evaluation writes
   // only that bucket's targets — so on a deterministic schedule (one
   // proc, one worker) the two modes must agree bitwise, on both the
-  // SoA-hook path and the per-pair replay path, for both styles.
+  // lane-evaluator path and the per-pair replay path, for both styles.
   rts::Runtime rt({1, 1});
   Configuration overlap = gravConfig();
   overlap.batch_drain = BatchDrain::kOverlap;
@@ -417,15 +417,6 @@ TEST(GravityNodeBatch, MatchesPerNodeCalls) {
   // derived block (65); the zero-mass summary is an empty node.
   std::vector<Particle> bucket = makeParticles(uniformCube(13, 5));
   for (auto& p : bucket) p.position = p.position - Vec3(0.5);
-  std::vector<double> x, y, z, order;
-  for (const auto& p : bucket) {
-    x.push_back(p.position.x);
-    y.push_back(p.position.y);
-    z.push_back(p.position.z);
-    order.push_back(static_cast<double>(p.order));
-  }
-  const SoaTargets tgt{x.data(), y.data(), z.data(), order.data(),
-                       static_cast<int>(bucket.size())};
   const OrientedBox box{Vec3(-0.5), Vec3(0.5)};
   const int n_bucket = static_cast<int>(bucket.size());
   for (const int n : {0, 1, 7, 8, 9, 65}) {
@@ -445,7 +436,7 @@ TEST(GravityNodeBatch, MatchesPerNodeCalls) {
           CentroidData tdata;
           SpatialNode<CentroidData> batch_target(tdata, box, keys::kRoot,
                                                  n_bucket, batched.data());
-          v.nodeBatch(nodes.data(), n, batch_target, tgt);
+          evalNodes(v, nodes.data(), n, batch_target);
           SpatialNode<CentroidData> ref_target(tdata, box, keys::kRoot,
                                                n_bucket, reference.data());
           for (const auto& d : nodes) {
@@ -458,6 +449,323 @@ TEST(GravityNodeBatch, MatchesPerNodeCalls) {
           expectCloseResults(reference, batched, 1e-12);
         }
       }
+    }
+  }
+}
+
+/// The hand-written 8-lane gravity kernels that the lane evaluator
+/// replaced, copied verbatim (bar their SIMD-clone attribute: with
+/// -ffp-contract=off every clone computes the same bits). The oracle the
+/// term protocol is pinned to bitwise.
+namespace oracle {
+
+struct SoaTargets {
+  const double* x{nullptr};
+  const double* y{nullptr};
+  const double* z{nullptr};
+  const double* order{nullptr};
+  int n{0};
+};
+
+inline void gravExactBatch(const SoaSources& src, const SoaTargets& tgt,
+                           const GravityParams& params,
+                           SpatialNode<CentroidData>& target) {
+  constexpr int kLanes = 8;
+  const double eps2 = params.softening * params.softening;
+  const double G = params.G;
+  const double* __restrict sx = src.x;
+  const double* __restrict sy = src.y;
+  const double* __restrict sz = src.z;
+  const double* __restrict sm = src.m;
+  const double* __restrict so = src.order;
+  for (int i = 0; i < tgt.n; ++i) {
+    const double px = tgt.x[i];
+    const double py = tgt.y[i];
+    const double pz = tgt.z[i];
+    const double self = tgt.order[i];
+    double ax[kLanes] = {}, ay[kLanes] = {}, az[kLanes] = {}, ph[kLanes] = {};
+    int j = 0;
+    for (; j + kLanes <= src.n; j += kLanes) {
+      for (int l = 0; l < kLanes; ++l) {
+        const double dx = px - sx[j + l];
+        const double dy = py - sy[j + l];
+        const double dz = pz - sz[j + l];
+        const double dr2 = dx * dx + dy * dy + dz * dz;
+        const double mask = (so[j + l] == self) ? 0.0 : 1.0;
+        const double r2 = dr2 + eps2 + (1.0 - mask);
+        const double r = std::sqrt(r2);
+        const double gm = G * sm[j + l] * mask;
+        const double inv_r = 1.0 / r;
+        const double gm_inv_r3 = gm * inv_r * (inv_r * inv_r);
+        ax[l] -= gm_inv_r3 * dx;
+        ay[l] -= gm_inv_r3 * dy;
+        az[l] -= gm_inv_r3 * dz;
+        ph[l] -= gm * inv_r;
+      }
+    }
+    double tax = 0.0, tay = 0.0, taz = 0.0, tph = 0.0;
+    for (; j < src.n; ++j) {
+      const double dx = px - sx[j];
+      const double dy = py - sy[j];
+      const double dz = pz - sz[j];
+      const double dr2 = dx * dx + dy * dy + dz * dz;
+      const double mask = (so[j] == self) ? 0.0 : 1.0;
+      const double r2 = dr2 + eps2 + (1.0 - mask);
+      const double r = std::sqrt(r2);
+      const double gm = G * sm[j] * mask;
+      const double inv_r = 1.0 / r;
+      const double gm_inv_r3 = gm * inv_r * (inv_r * inv_r);
+      tax -= gm_inv_r3 * dx;
+      tay -= gm_inv_r3 * dy;
+      taz -= gm_inv_r3 * dz;
+      tph -= gm * inv_r;
+    }
+    for (int l = 0; l < kLanes; ++l) {
+      tax += ax[l];
+      tay += ay[l];
+      taz += az[l];
+      tph += ph[l];
+    }
+    target.applyAcceleration(i, Vec3{tax, tay, taz});
+    target.applyPotential(i, tph);
+  }
+}
+
+struct MultipoleBlock {
+  static constexpr int kSize = 64;
+  double cx[kSize], cy[kSize], cz[kSize], gm[kSize];
+  double qxx[kSize], qxy[kSize], qxz[kSize], qyy[kSize], qyz[kSize],
+      qzz[kSize];
+
+  void set(int k, const CentroidData& d, double G) {
+    const double m = d.sum_mass;
+    const Vec3 c = m > 0.0 ? d.moment * (1.0 / m) : Vec3{};
+    SymTensor3 sc = d.second;
+    sc.addOuter(c, -m);
+    const double tr = sc.trace();
+    cx[k] = c.x;
+    cy[k] = c.y;
+    cz[k] = c.z;
+    gm[k] = G * m;
+    qxx[k] = G * (3.0 * sc.xx - tr);
+    qxy[k] = G * (3.0 * sc.xy);
+    qxz[k] = G * (3.0 * sc.xz);
+    qyy[k] = G * (3.0 * sc.yy - tr);
+    qyz[k] = G * (3.0 * sc.yz);
+    qzz[k] = G * (3.0 * sc.zz - tr);
+  }
+};
+
+template <bool kQuadrupole>
+[[gnu::always_inline]] inline void approxTerm(const MultipoleBlock& b, int k,
+                                              double px, double py, double pz,
+                                              double eps2, double& ax,
+                                              double& ay, double& az,
+                                              double& ph) {
+  const double dx = px - b.cx[k];
+  const double dy = py - b.cy[k];
+  const double dz = pz - b.cz[k];
+  const double r2 = dx * dx + dy * dy + dz * dz + eps2;
+  const double inv_r = 1.0 / std::sqrt(r2);
+  const double inv_r2 = inv_r * inv_r;
+  const double inv_r3 = inv_r * inv_r2;
+  const double gm_inv_r3 = b.gm[k] * inv_r3;
+  ax -= gm_inv_r3 * dx;
+  ay -= gm_inv_r3 * dy;
+  az -= gm_inv_r3 * dz;
+  ph -= b.gm[k] * inv_r;
+  if constexpr (kQuadrupole) {
+    const double qdx = b.qxx[k] * dx + b.qxy[k] * dy + b.qxz[k] * dz;
+    const double qdy = b.qxy[k] * dx + b.qyy[k] * dy + b.qyz[k] * dz;
+    const double qdz = b.qxz[k] * dx + b.qyz[k] * dy + b.qzz[k] * dz;
+    const double qrr = dx * qdx + dy * qdy + dz * qdz;
+    const double inv_r5 = inv_r3 * inv_r2;
+    const double radial = 2.5 * qrr * (inv_r5 * inv_r2);
+    ax += qdx * inv_r5 - radial * dx;
+    ay += qdy * inv_r5 - radial * dy;
+    az += qdz * inv_r5 - radial * dz;
+    ph -= 0.5 * qrr * inv_r5;
+  }
+}
+
+template <bool kQuadrupole>
+[[gnu::always_inline]] inline void approxBlock(
+    const MultipoleBlock& b, int n, const SoaTargets& tgt, double eps2,
+    SpatialNode<CentroidData>& target) {
+  constexpr int kLanes = 8;
+  static_assert(MultipoleBlock::kSize % kLanes == 0);
+  for (int i = 0; i < tgt.n; ++i) {
+    const double px = tgt.x[i];
+    const double py = tgt.y[i];
+    const double pz = tgt.z[i];
+    double ax[kLanes] = {}, ay[kLanes] = {}, az[kLanes] = {}, ph[kLanes] = {};
+    int k = 0;
+    for (; k + kLanes <= n; k += kLanes) {
+      for (int l = 0; l < kLanes; ++l) {
+        approxTerm<kQuadrupole>(b, k + l, px, py, pz, eps2, ax[l], ay[l],
+                                az[l], ph[l]);
+      }
+    }
+    double tax = 0.0, tay = 0.0, taz = 0.0, tph = 0.0;
+    for (; k < n; ++k) {
+      approxTerm<kQuadrupole>(b, k, px, py, pz, eps2, tax, tay, taz, tph);
+    }
+    for (int l = 0; l < kLanes; ++l) {
+      tax += ax[l];
+      tay += ay[l];
+      taz += az[l];
+      tph += ph[l];
+    }
+    target.applyAcceleration(i, Vec3{tax, tay, taz});
+    target.applyPotential(i, tph);
+  }
+}
+
+inline void gravApproxBatch(const CentroidData* nodes, int n,
+                            const SoaTargets& tgt, const GravityParams& params,
+                            SpatialNode<CentroidData>& target) {
+  const double eps2 = params.softening * params.softening;
+  MultipoleBlock block{};
+  for (int base = 0; base < n; base += MultipoleBlock::kSize) {
+    const int m = std::min(n - base, MultipoleBlock::kSize);
+    for (int k = 0; k < m; ++k) block.set(k, nodes[base + k], params.G);
+    if (params.use_quadrupole) {
+      approxBlock<true>(block, m, tgt, eps2, target);
+    } else {
+      approxBlock<false>(block, m, tgt, eps2, target);
+    }
+  }
+}
+
+}  // namespace oracle
+
+TEST(GravityNodeBatch, LaneEvaluatorMatchesHandWrittenKernelsBitwise) {
+  // Counts straddle the 8-wide lanes (7, 8, 9), the 64-node block (63,
+  // 64, 65) and two blocks (130). The bucket's own particles lead the
+  // sources, so the self mask is exercised.
+  std::vector<Particle> bucket = makeParticles(uniformCube(13, 5));
+  Rng rng(29);
+  for (auto& p : bucket) {
+    p.position = p.position - Vec3(0.5);
+    p.acceleration = Vec3(rng.uniform(), rng.uniform(), rng.uniform());
+    p.potential = rng.uniform();
+  }
+  std::vector<double> x, y, z, order;
+  for (const auto& p : bucket) {
+    x.push_back(p.position.x);
+    y.push_back(p.position.y);
+    z.push_back(p.position.z);
+    order.push_back(static_cast<double>(p.order));
+  }
+  const int n_bucket = static_cast<int>(bucket.size());
+  const oracle::SoaTargets tgt{x.data(), y.data(), z.data(), order.data(),
+                               n_bucket};
+  const OrientedBox box{Vec3(-0.5), Vec3(0.5)};
+  auto expectSameBits = [&](const std::vector<Particle>& a,
+                            const std::vector<Particle>& b) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(0, std::memcmp(&a[i].acceleration, &b[i].acceleration,
+                               sizeof(a[i].acceleration)))
+          << "particle " << i;
+      EXPECT_EQ(0, std::memcmp(&a[i].potential, &b[i].potential,
+                               sizeof(a[i].potential)))
+          << "particle " << i;
+    }
+  };
+  for (const int n : {0, 1, 7, 8, 9, 63, 64, 65, 130}) {
+    std::vector<Particle> sources =
+        makeParticles(uniformCube(static_cast<std::size_t>(n), n + 3));
+    for (std::size_t j = 0; j < sources.size(); ++j) {
+      sources[j].order += n_bucket;
+      if (j < bucket.size()) sources[j] = bucket[j];
+    }
+    std::vector<double> sx, sy, sz, sm, so;
+    for (const auto& p : sources) {
+      sx.push_back(p.position.x);
+      sy.push_back(p.position.y);
+      sz.push_back(p.position.z);
+      sm.push_back(p.mass);
+      so.push_back(static_cast<double>(p.order));
+    }
+    const SoaSources src{sx.data(), sy.data(), sz.data(),
+                         sm.data(), so.data(), n};
+    for (const bool quadrupole : {true, false}) {
+      for (const double G : {1.0, 4.3}) {
+        for (const bool with_empty : {false, true}) {
+          if (with_empty && n == 0) continue;
+          auto nodes = clumpNodes(n, static_cast<std::uint64_t>(n) + 11);
+          if (with_empty) {
+            nodes[static_cast<std::size_t>(n / 2)] = CentroidData{};
+          }
+          GravityVisitor v;
+          v.params.use_quadrupole = quadrupole;
+          v.params.G = G;
+          v.params.softening = 1e-3;
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " quadrupole=" << quadrupole
+                       << " G=" << G << " with_empty=" << with_empty);
+          auto want = bucket;
+          auto got = bucket;
+          CentroidData tdata;
+          SpatialNode<CentroidData> want_target(tdata, box, keys::kRoot,
+                                                n_bucket, want.data());
+          SpatialNode<CentroidData> got_target(tdata, box, keys::kRoot,
+                                               n_bucket, got.data());
+          oracle::gravApproxBatch(nodes.data(), n, tgt, v.params, want_target);
+          evalNodes(v, nodes.data(), n, got_target);
+          expectSameBits(want, got);
+          oracle::gravExactBatch(src, tgt, v.params, want_target);
+          evalPairs(v, src, got_target);
+          expectSameBits(want, got);
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchEval, CoincidentBodiesAgreeAcrossKernels) {
+  // Two distinct bodies at one point: each feels the other's softened
+  // -G m / eps. Both kernels mask self by identity, so neither drops the
+  // partner as a zero-distance pair.
+  auto particles = makeParticles(uniformCube(200, 17));
+  particles[1].position = particles[0].position;
+  auto run = [&](EvalKernel kernel, double theta) {
+    rts::Runtime rt({1, 1});
+    Configuration conf;
+    conf.min_partitions = 1;
+    conf.min_subtrees = 1;
+    conf.bucket_size = 8;
+    Forest<CentroidData, OctTreeType> forest(rt, conf);
+    forest.load(particles);
+    forest.decompose();
+    forest.build();
+    GravityVisitor v;
+    v.params.softening = 0.01;
+    v.params.theta = theta;
+    forest.traverse<GravityVisitor>(v, TraversalStyle::kTransposed, kernel);
+    return forest.collect();
+  };
+  expectCloseResults(run(EvalKernel::kVisitor, 0.7),
+                     run(EvalKernel::kBatched, 0.7), 1e-12);
+  // Opening everything makes both kernels a direct sum; compare it with
+  // one written here that skips only the body itself.
+  std::vector<double> phi(particles.size(), 0.0);
+  for (std::size_t i = 0; i < particles.size(); ++i) {
+    for (std::size_t j = 0; j < particles.size(); ++j) {
+      if (i == j) continue;
+      const double r2 =
+          (particles[i].position - particles[j].position).lengthSquared() +
+          0.01 * 0.01;
+      phi[i] -= particles[j].mass / std::sqrt(r2);
+    }
+  }
+  EXPECT_LT(phi[0], -particles[1].mass / 0.01);
+  for (const EvalKernel kernel : {EvalKernel::kVisitor, EvalKernel::kBatched}) {
+    const auto got = run(kernel, 1e-6);
+    for (const auto& p : got) {
+      const auto i = static_cast<std::size_t>(p.order);
+      EXPECT_NEAR(p.potential, phi[i], 1e-12 * std::abs(phi[i]))
+          << "particle " << i;
     }
   }
 }

@@ -174,8 +174,8 @@ TEST(GravityVisitor, EmptyNodeNeverOpens) {
   EXPECT_FALSE(v.open(src, tgt));
 }
 
-/// The per-target multipole evaluation as it was before the node loop
-/// hoisted the centroid and quadrupole: both recomputed for every target.
+/// The scalar multipole formula as first written, centroid and
+/// quadrupole derived for every target: gravApprox must keep its bits.
 void perTargetGravApprox(const CentroidData& data, const Vec3& pos,
                          const GravityParams& params, Vec3& accel,
                          double& potential) {
@@ -197,54 +197,74 @@ void perTargetGravApprox(const CentroidData& data, const Vec3& pos,
 }
 
 TEST(GravityVisitor, HoistedNodeKernelMatchesPerTargetBitwise) {
+  // node() and leaf() run the same terms as the batched lane evaluator:
+  // on one node, and on one source span shorter than the 8 lanes (all of
+  // it in the scalar tail), the kVisitor and kBatched paths agree bitwise.
   Rng rng(41);
   auto bits = [](double v) {
     std::uint64_t u;
     std::memcpy(&u, &v, sizeof(u));
     return u;
   };
+  auto expectSameBits = [&](const std::vector<Particle>& a,
+                            const std::vector<Particle>& b) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(bits(a[i].acceleration.x), bits(b[i].acceleration.x));
+      ASSERT_EQ(bits(a[i].acceleration.y), bits(b[i].acceleration.y));
+      ASSERT_EQ(bits(a[i].acceleration.z), bits(b[i].acceleration.z));
+      ASSERT_EQ(bits(a[i].potential), bits(b[i].potential));
+    }
+  };
   for (const bool quad : {true, false}) {
     GravityVisitor v;
     v.params.use_quadrupole = quad;
     v.params.softening = 1e-3;
     for (int trial = 0; trial < 200; ++trial) {
-      std::vector<Particle> src(1 + trial % 13);
-      for (auto& p : src) {
+      std::vector<Particle> src(1 + trial % 7);
+      std::vector<double> sx, sy, sz, sm, so;
+      for (std::size_t j = 0; j < src.size(); ++j) {
+        Particle& p = src[j];
         p.position = Vec3(rng.uniform(), rng.uniform(), rng.uniform());
         p.mass = 0.1 + rng.uniform();
+        p.order = static_cast<std::int32_t>(j);
+        sx.push_back(p.position.x);
+        sy.push_back(p.position.y);
+        sz.push_back(p.position.z);
+        sm.push_back(p.mass);
+        so.push_back(static_cast<double>(p.order));
       }
+      const SoaSources soa{sx.data(), sy.data(), sz.data(),
+                           sm.data(), so.data(), static_cast<int>(src.size())};
       const CentroidData data(src.data(), static_cast<int>(src.size()));
       std::vector<Particle> tgt(1 + trial % 17);
-      for (auto& p : tgt) {
+      for (std::size_t i = 0; i < tgt.size(); ++i) {
+        Particle& p = tgt[i];
         p.position = Vec3(3 * rng.uniform() - 1, 3 * rng.uniform() - 1,
                           3 * rng.uniform() - 1);
         p.acceleration = Vec3(rng.uniform(), 0, 0);
         p.potential = rng.uniform();
-      }
-      std::vector<Particle> want = tgt;
-      for (auto& p : want) {
-        Vec3 a{};
-        double phi = 0.0;
-        perTargetGravApprox(data, p.position, v.params, a, phi);
-        p.acceleration += a;
-        p.potential += phi;
+        p.order = static_cast<std::int32_t>(100 + i);
       }
       const OrientedBox box{Vec3(0), Vec3(1)};
       SpatialNode<CentroidData> source(data, box, keys::kRoot,
                                        static_cast<int>(src.size()),
                                        src.data());
+      std::vector<Particle> inline_out = tgt;
+      std::vector<Particle> batched_out = tgt;
       CentroidData tdata;
-      SpatialNode<CentroidData> target(tdata, box, keys::kRoot,
-                                       static_cast<int>(tgt.size()),
-                                       tgt.data());
-      v.node(source, target);
-      for (std::size_t i = 0; i < tgt.size(); ++i) {
-        ASSERT_EQ(bits(tgt[i].acceleration.x), bits(want[i].acceleration.x));
-        ASSERT_EQ(bits(tgt[i].acceleration.y), bits(want[i].acceleration.y));
-        ASSERT_EQ(bits(tgt[i].acceleration.z), bits(want[i].acceleration.z));
-        ASSERT_EQ(bits(tgt[i].potential), bits(want[i].potential));
-      }
-      // The CentroidData overload is the same formula.
+      SpatialNode<CentroidData> inline_target(
+          tdata, box, keys::kRoot, static_cast<int>(tgt.size()),
+          inline_out.data());
+      SpatialNode<CentroidData> batched_target(
+          tdata, box, keys::kRoot, static_cast<int>(tgt.size()),
+          batched_out.data());
+      v.node(source, inline_target);
+      evalNodes(v, &data, 1, batched_target);
+      expectSameBits(inline_out, batched_out);
+      v.leaf(source, inline_target);
+      evalPairs(v, soa, batched_target);
+      expectSameBits(inline_out, batched_out);
+      // The scalar reference keeps its formula.
       Vec3 a{}, ref_a{};
       double phi = 0.0, ref_phi = 0.0;
       gravApprox(data, tgt[0].position, v.params, a, phi);
