@@ -78,10 +78,25 @@ int main(int argc, char** argv) {
     forest.load(makeParticles(clustered(n, 5, 12, 0.04)));
     forest.decompose();
 
-    SphSolver<SphData, OctTreeType> pt_solver(forest, params);
+    // Like for like with Gadget-2, which starts every step from a
+    // uniform-density guess: a fresh solver per iteration searches from
+    // an infinite ball.
     const Result pt = timeIterations(forest, iterations, [&] {
+      SphSolver<SphData, OctTreeType> cold(forest, params);
+      cold.step();
+      return cold.lastPass().traversals;
+    });
+
+    // The simulation case: one solver across steps, so every search
+    // ball starts from the previous step's bound (the first, untimed
+    // step is cold).
+    SphSolver<SphData, OctTreeType> pt_solver(forest, params);
+    forest.build();
+    pt_solver.step();
+    forest.flush();
+    const Result warm = timeIterations(forest, iterations, [&] {
       pt_solver.step();
-      return 1;  // one kNN traversal per iteration
+      return pt_solver.lastPass().traversals;
     });
 
     baselines::GadgetSphSolver<SphData, OctTreeType> gd_solver(forest, params);
@@ -92,6 +107,9 @@ int main(int argc, char** argv) {
 
     std::printf("%-12s %4dx%-5d %14.4f %18d %10s\n", "ParaTreeT", procs,
                 workers, pt.avg_iter, pt.rounds, "1.00x");
+    std::printf("%-12s %4dx%-5d %14.4f %18d %9.2fx\n", "  warm ball", procs,
+                workers, warm.avg_iter, warm.rounds,
+                warm.avg_iter / pt.avg_iter);
     std::printf("%-12s %4dx%-5d %14.4f %18d %9.2fx\n", "Gadget-2", procs,
                 workers, gd.avg_iter, gd.rounds, gd.avg_iter / pt.avg_iter);
     std::printf("\n");
@@ -99,6 +117,9 @@ int main(int argc, char** argv) {
 
   std::printf("Expected shape (paper): ParaTreeT sustains a large advantage "
               "(~10x at scale) because the kNN\ntraversal replaces the "
-              "fixed-ball convergence loop's repeated tree sweeps.\n");
+              "fixed-ball convergence loop's repeated tree sweeps.\n"
+              "Both series are timed cold; the \"warm ball\" row is "
+              "ParaTreeT seeding each search from\nthe previous step "
+              "(time column relative to the cold ParaTreeT row).\n");
   return 0;
 }

@@ -41,8 +41,16 @@ class NeighborStore {
 
   /// Offer a source particle as a neighbour candidate of `target`;
   /// updates the target's search ball (ball2) as the heap tightens.
+  ///
+  /// Only candidates strictly inside the ball enter the heap. From an
+  /// infinite ball this is the plain k-best heap (a full heap's ball is
+  /// its root's d2). From a finite starting ball nothing outside it is
+  /// kept and the ball never widens, so a heap that fills up holds k
+  /// particles strictly inside the starting ball, which makes it the
+  /// exact k nearest whatever the starting ball was.
   void consider(Particle& target, const Particle& source) {
     const double d2 = distanceSquared(target.position, source.position);
+    if (!(d2 < target.ball2)) return;
     auto& heap = lists_[static_cast<std::size_t>(target.order)];
     const Neighbor nb{d2, source.position, source.mass, source.order};
     if (static_cast<int>(heap.size()) < k_) {
@@ -51,10 +59,8 @@ class NeighborStore {
       if (static_cast<int>(heap.size()) == k_) target.ball2 = heap.front().d2;
       return;
     }
-    if (d2 < heap.front().d2) {
-      replaceRoot(heap, nb);
-      target.ball2 = heap.front().d2;
-    }
+    replaceRoot(heap, nb);
+    target.ball2 = heap.front().d2;
   }
 
   const std::vector<Neighbor>& neighbors(std::int32_t order) const {
@@ -86,8 +92,9 @@ class NeighborStore {
   std::vector<std::vector<Neighbor>> lists_;
 };
 
-/// Search-ball initialization: before a kNN traversal every particle's
-/// ball is infinite (accept anything until k candidates are known).
+/// Cold search-ball initialization: accept anything until k candidates
+/// are known. A caller with a valid upper bound on the kth-neighbour
+/// distance may start from that instead (SphSolver does, step over step).
 inline constexpr double kInfiniteBall = std::numeric_limits<double>::infinity();
 
 /// The k-nearest-neighbour Visitor, meant for the up-and-down traversal:

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -43,10 +45,28 @@ struct SphFields {
   std::vector<double> pressure;
 };
 
+/// What the last SphSolver::densityPass() did.
+struct SphPassStats {
+  /// The search balls started from the previous step's bound.
+  bool warm = false;
+  /// Up-and-down traversals run: 1, or 2 when the retry ran.
+  int traversals = 0;
+  /// Particles the warm ball left with fewer than min(k, n) neighbours,
+  /// searched again cold.
+  std::size_t retried = 0;
+};
+
 /// ParaTreeT's SPH pipeline (paper Section III.B): one k-nearest-
 /// neighbour traversal fixes each particle's smoothing neighbourhood,
 /// densities follow from the recorded neighbour lists, and the pressure
 /// force is evaluated over the same lists — no second tree traversal.
+///
+/// Step over step the search starts warm: each particle's ball is seeded
+/// with a radius that provably holds its previous k neighbours (see
+/// densityPass()), so the walk prunes from the first leaf instead of
+/// collecting about 10x k candidates under an infinite ball. The bound
+/// only prunes; a count guard keeps the neighbour sets exact even when
+/// the prior state is wrong.
 ///
 /// Contrast with the Gadget-2 baseline (src/baselines/gadget), which
 /// converges a smoothing length per particle with repeated fixed-ball
@@ -56,53 +76,81 @@ class SphSolver {
  public:
   SphSolver(Forest<Data, TreeTypeT>& forest, SphParams params)
       : forest_(forest), params_(params),
-        store_(forest.particleCount(), params.k_neighbors) {}
+        store_(forest.particleCount(), params.k_neighbors),
+        prior_position_(forest.particleCount()),
+        prior_ball2_(forest.particleCount()) {}
 
   NeighborStore& store() { return store_; }
+  const SphPassStats& lastPass() const { return last_pass_; }
 
   /// Phase 1: kNN search (up-and-down traversal) + density from the
   /// neighbour lists. Fills SphFields.
+  ///
+  /// After a completed pass, each particle p starts from the ball
+  ///   r_prior(p) + |p - p_prior| + max_q |q - q_prior|
+  /// (inflated by 1e-9 for rounding): each of p's previous k neighbours
+  /// q moved at most the maximum displacement, so all k lie inside it.
+  /// The first pass, and a universe with fewer than k particles, start
+  /// from an infinite ball. Whatever the start, a heap that holds k
+  /// entries is exact (NeighborStore::consider); a particle left with
+  /// fewer than min(k, n) is searched again cold in one more traversal,
+  /// which a valid bound never needs.
   SphFields densityPass() {
+    const std::size_t n = store_.size();
+    const auto k = static_cast<std::size_t>(params_.k_neighbors);
+    const std::size_t want = std::min(k, n);
+    last_pass_ = SphPassStats{};
+    last_pass_.warm = has_prior_ && n >= k;
+    // A pass that does not finish leaves the prior state half-written;
+    // the next pass then starts cold.
+    has_prior_ = false;
+
+    const double slack = last_pass_.warm ? maxDisplacement() : 0.0;
     auto* store = &store_;
-    forest_.forEachParticle([store](Particle& p) {
-      store->neighbors(p.order).clear();
-      p.ball2 = kInfiniteBall;
-      p.density = 0.0;
-      p.neighbor_count = 0;
-    });
+    const bool warm = last_pass_.warm;
+    const Vec3* prior_position = prior_position_.data();
+    const double* prior_ball2 = prior_ball2_.data();
+    forest_.forEachParticle(
+        [store, warm, slack, prior_position, prior_ball2](Particle& p) {
+          const auto o = static_cast<std::size_t>(p.order);
+          store->neighbors(p.order).clear();
+          p.ball2 = kInfiniteBall;
+          if (warm) {
+            const double r = (std::sqrt(prior_ball2[o]) +
+                              (p.position - prior_position[o]).length() +
+                              slack) *
+                             (1.0 + 1e-9);
+            p.ball2 = r * r;
+          }
+          p.density = 0.0;
+          p.neighbor_count = 0;
+        });
     KNearestVisitor<Data> visitor{&store_};
     forest_.traverseUpAndDown(visitor);
+    last_pass_.traversals = 1;
 
     SphFields fields;
-    fields.density.assign(store_.size(), 0.0);
-    fields.pressure.assign(store_.size(), 0.0);
-    const SphParams params = params_;
-    auto* fptr = &fields;
-    forest_.forEachParticle([store, params, fptr](Particle& p) {
-      const auto& nbrs = store->neighbors(p.order);
-      // Smoothing length from the kth-neighbour distance: support 2h.
-      // With fewer than k particles in the universe the ball never
-      // tightened; fall back to the farthest recorded candidate.
-      double ball2 = p.ball2;
-      if (!std::isfinite(ball2)) {
-        ball2 = 0.0;
-        for (const auto& nb : nbrs) ball2 = std::max(ball2, nb.d2);
-        p.ball2 = ball2;
-      }
-      const double h = smoothingLength(p);
-      double rho = 0.0;
-      for (const auto& nb : nbrs) {
-        rho += nb.mass * sph::kernelW(std::sqrt(nb.d2), h);
-      }
-      p.density = rho;
-      p.neighbor_count = static_cast<std::int32_t>(nbrs.size());
-      const double pressure = (params.gamma - 1.0) * rho * params.internal_energy;
-      p.pressure = pressure;
-      // Single writer per order: safe unsynchronized publication, read
-      // only after the enclosing drain.
-      fptr->density[static_cast<std::size_t>(p.order)] = rho;
-      fptr->pressure[static_cast<std::size_t>(p.order)] = pressure;
-    });
+    fields.density.assign(n, 0.0);
+    fields.pressure.assign(n, 0.0);
+    std::size_t short_heaps = densities(want, fields);
+    if (short_heaps > 0) {
+      // Search the short particles again from an infinite ball; a zero
+      // ball prunes everything for the rest, whose heaps are exact.
+      last_pass_.retried = short_heaps;
+      forest_.forEachParticle([store, want](Particle& p) {
+        auto& nbrs = store->neighbors(p.order);
+        if (nbrs.size() < want) {
+          nbrs.clear();
+          p.ball2 = kInfiniteBall;
+        } else {
+          p.ball2 = 0.0;
+        }
+      });
+      forest_.traverseUpAndDown(visitor);
+      last_pass_.traversals = 2;
+      short_heaps = densities(want, fields);
+    }
+    has_prior_ = short_heaps == 0;
     return fields;
   }
 
@@ -149,9 +197,75 @@ class SphSolver {
   }
 
  private:
+  /// Largest distance any particle moved since the prior search.
+  double maxDisplacement() {
+    std::atomic<double> max{0.0};
+    auto* maxp = &max;
+    const Vec3* prior_position = prior_position_.data();
+    forest_.forEachParticle([maxp, prior_position](Particle& p) {
+      const double d =
+          (p.position - prior_position[static_cast<std::size_t>(p.order)])
+              .length();
+      double seen = maxp->load();
+      while (d > seen && !maxp->compare_exchange_weak(seen, d)) {
+      }
+    });
+    return max.load();
+  }
+
+  /// Density and pressure from the neighbour lists of every particle
+  /// whose heap holds `want` entries, recording its position and ball as
+  /// the next pass's prior. Returns how many heaps are short.
+  std::size_t densities(std::size_t want, SphFields& fields) {
+    std::atomic<std::size_t> short_heaps{0};
+    auto* shortp = &short_heaps;
+    auto* store = &store_;
+    auto* fptr = &fields;
+    Vec3* prior_position = prior_position_.data();
+    double* prior_ball2 = prior_ball2_.data();
+    const SphParams params = params_;
+    forest_.forEachParticle([=](Particle& p) {
+      const auto& nbrs = store->neighbors(p.order);
+      if (nbrs.size() < want) {
+        shortp->fetch_add(1);
+        return;
+      }
+      // Smoothing length from the farthest neighbour, the heap root: the
+      // kth-neighbour distance, or the farthest particle of a universe
+      // with fewer than k. Support 2h.
+      p.ball2 = nbrs.front().d2;
+      const double h = smoothingLength(p);
+      double rho = 0.0;
+      for (const auto& nb : nbrs) {
+        rho += nb.mass * sph::kernelW(std::sqrt(nb.d2), h);
+      }
+      p.density = rho;
+      p.neighbor_count = static_cast<std::int32_t>(nbrs.size());
+      const double pressure = (params.gamma - 1.0) * rho * params.internal_energy;
+      p.pressure = pressure;
+      // Single writer per order: safe unsynchronized publication, read
+      // only after the enclosing drain.
+      const auto o = static_cast<std::size_t>(p.order);
+      fptr->density[o] = rho;
+      fptr->pressure[o] = pressure;
+      prior_position[o] = p.position;
+      prior_ball2[o] = p.ball2;
+    });
+    return short_heaps.load();
+  }
+
   Forest<Data, TreeTypeT>& forest_;
   SphParams params_;
   NeighborStore store_;
+  bool has_prior_ = false;
+  SphPassStats last_pass_;
+
+ protected:
+  /// Each particle's position and final ball2 at its last completed
+  /// search, indexed by `order` (Forest::flush() clears Particle::ball2).
+  /// Protected so a test can make them stale and exercise the retry.
+  std::vector<Vec3> prior_position_;
+  std::vector<double> prior_ball2_;
 };
 
 }  // namespace paratreet

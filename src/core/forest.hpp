@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "core/cache.hpp"
@@ -167,16 +168,22 @@ class Forest {
     {
       obs::TraceSpan splitter_span(instr_.trace, "decompose.splitters",
                                    "phase");
-      // Both decompositions count over the same keys, so the sorted
-      // scratch (the expensive part) is built once and shared.
-      decomp::SortedKeyScratch scratch(std::span<const Particle>(particles_),
-                                       worker_par, chunks);
+      // Key-based decompositions count over the same keys, so the
+      // sorted scratch (the expensive part) is built once and shared;
+      // binary splits ignore it, and with two of them none is built.
+      std::optional<decomp::SortedKeyScratch> scratch;
+      if (partition_decomp_->usesKeyScratch() ||
+          subtree_decomp_->usesKeyScratch()) {
+        scratch.emplace(std::span<const Particle>(particles_), worker_par,
+                        chunks);
+      }
+      const decomp::SortedKeyScratch* shared = scratch ? &*scratch : nullptr;
       n_parts = partition_decomp_->findSplittersHistogram(
           std::span<Particle>(particles_), universe_, conf_.min_partitions,
-          Decomposition::Target::kPartition, worker_par, &scratch);
+          Decomposition::Target::kPartition, worker_par, shared);
       n_subtrees = subtree_decomp_->findSplittersHistogram(
           std::span<Particle>(particles_), universe_, conf_.min_subtrees,
-          Decomposition::Target::kSubtree, worker_par, &scratch);
+          Decomposition::Target::kSubtree, worker_par, shared);
     }
     auto regions = subtree_decomp_->regions();
     assert(static_cast<int>(regions.size()) == n_subtrees);
@@ -391,14 +398,22 @@ class Forest {
   /// traversal (paper Section II.D.1: chares are migratable, so work can
   /// be redistributed between iterations). The placement persists across
   /// flush()/decompose() as long as the partition count is unchanged.
-  /// Returns the predicted imbalance (max/ideal) of the new placement.
+  /// The current placement stays when the balancer's would not be less
+  /// imbalanced: greedy LPT can lose to it (loads {2,2,2,3,3} on 2 procs
+  /// are 6|6 in blocks, 7|5 under LPT). Returns the predicted imbalance
+  /// (max/ideal) of the placement kept, never above the current one.
   double rebalance(LoadBalancer& lb) {
     const auto loads = partitionLoads();
-    placement_override_ = lb.assign(loads, rt_.numProcs());
+    const double current = measuredImbalance();
+    auto placement = lb.assign(loads, rt_.numProcs());
+    const double imbalance =
+        LoadBalancer::imbalance(loads, placement, rt_.numProcs());
+    if (!(imbalance < current)) return current;
+    placement_override_ = std::move(placement);
     for (std::size_t i = 0; i < partitions_.size(); ++i) {
       partitions_[i]->home_proc = placement_override_[i];
     }
-    return LoadBalancer::imbalance(loads, placement_override_, rt_.numProcs());
+    return imbalance;
   }
 
   /// Current imbalance of measured load across processes (1.0 = ideal).

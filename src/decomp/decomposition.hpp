@@ -143,6 +143,10 @@ class Decomposition {
       Target target, ParallelFor& par,
       const decomp::SortedKeyScratch* scratch = nullptr) = 0;
 
+  /// Whether findSplittersHistogram() counts over a SortedKeyScratch;
+  /// binary splits ignore it, so a caller builds none for them.
+  virtual bool usesKeyScratch() const { return true; }
+
   /// Piece of a particle, valid after a splitter call.
   virtual int pieceOf(const Particle& p) const = 0;
 
@@ -242,6 +246,7 @@ class BinarySplitDecomposition : public Decomposition {
       std::span<Particle> particles, const OrientedBox& universe, int n_pieces,
       Target target, ParallelFor& par,
       const decomp::SortedKeyScratch* scratch = nullptr) override;
+  bool usesKeyScratch() const override { return false; }
   int pieceOf(const Particle& p) const override;
   std::vector<SubtreeRegion> regions() const override { return regions_; }
   DecompType type() const override {

@@ -128,6 +128,41 @@ TEST(ForestRebalance, ReducesMeasuredImbalanceOnSkewedData) {
               predicted, 1e-12);
 }
 
+TEST(ForestRebalance, KeepsCurrentPlacementWhenGreedyIsWorse) {
+  // LPT is not optimal: on {2,2,2,3,3} over 2 procs it gives 7|5 (1.17)
+  // where the block placement {0,0,0,1,1} gives 6|6 (1.00).
+  rts::Runtime rt({2, 1});
+  Configuration conf = lbConfig();
+  conf.min_partitions = 5;
+  Forest<CentroidData, OctTreeType> forest(rt, conf);
+  forest.load(makeParticles(uniformCube(500, 17)));
+  forest.decompose();
+  forest.build();
+  ASSERT_EQ(forest.numPartitions(), 5);
+  const std::vector<double> lpt_loses = {2, 2, 2, 3, 3};
+  std::vector<int> block;
+  for (int i = 0; i < 5; ++i) {
+    forest.partition(i).measured_load = lpt_loses[static_cast<std::size_t>(i)];
+    block.push_back(forest.partition(i).home_proc);
+  }
+  ASSERT_EQ(block, (std::vector<int>{0, 0, 0, 1, 1}));
+  GreedyLoadBalancer lb;
+  EXPECT_NEAR(LoadBalancer::imbalance(lpt_loses, lb.assign(lpt_loses, 2), 2),
+              7.0 / 6.0, 1e-12);
+  EXPECT_DOUBLE_EQ(forest.rebalance(lb), 1.0);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(forest.partition(i).home_proc, block[static_cast<std::size_t>(i)]);
+  }
+
+  // Where LPT wins ({3,3,2,2,2}: 8|4 in blocks, 7|5 under LPT) it applies.
+  const std::vector<double> lpt_wins = {3, 3, 2, 2, 2};
+  for (int i = 0; i < 5; ++i) {
+    forest.partition(i).measured_load = lpt_wins[static_cast<std::size_t>(i)];
+  }
+  EXPECT_NEAR(forest.rebalance(lb), 7.0 / 6.0, 1e-12);
+  EXPECT_NEAR(forest.measuredImbalance(), 7.0 / 6.0, 1e-12);
+}
+
 TEST(ForestRebalance, PlacementSurvivesFlush) {
   rts::Runtime rt({3, 1});
   Forest<CentroidData, OctTreeType> forest(rt, lbConfig());

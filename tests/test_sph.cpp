@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "apps/sph/sph.hpp"
 #include "baselines/gadget/gadget_sph.hpp"
@@ -248,6 +252,191 @@ TEST(FixedBallVisitor, InactiveParticlesAreSkipped) {
       EXPECT_EQ(p.neighbor_count, 0);
       EXPECT_DOUBLE_EQ(p.density, 0.0);
     }
+  }
+}
+
+
+// --- Warm-started kNN search balls ------------------------------------------
+
+TEST(NeighborStore, FiniteBallRejectsOutsideCandidates) {
+  NeighborStore store(1, 3);
+  Particle target;
+  target.order = 0;
+  target.position = Vec3(0, 0, 0);
+  target.ball2 = 4.0;  // starting radius 2
+  auto src = [](double x, int order) {
+    Particle p;
+    p.position = Vec3(x, 0, 0);
+    p.order = order;
+    p.mass = 1.0;
+    return p;
+  };
+  store.consider(target, src(3.0, 1));  // outside: rejected
+  EXPECT_TRUE(store.neighbors(0).empty());
+  store.consider(target, src(2.0, 2));  // on the boundary: not strictly inside
+  EXPECT_TRUE(store.neighbors(0).empty());
+  store.consider(target, src(1.0, 3));
+  EXPECT_EQ(store.neighbors(0).size(), 1u);
+  EXPECT_DOUBLE_EQ(target.ball2, 4.0);  // not full: the starting ball holds
+  store.consider(target, src(1.5, 4));
+  store.consider(target, src(0.5, 5));
+  EXPECT_DOUBLE_EQ(target.ball2, 2.25);  // full: farthest is x=1.5
+  store.consider(target, src(1.9, 6));   // inside the start, outside now
+  EXPECT_DOUBLE_EQ(target.ball2, 2.25);
+  std::set<int> orders;
+  for (const auto& nb : store.neighbors(0)) orders.insert(nb.order);
+  EXPECT_EQ(orders, (std::set<int>{3, 4, 5}));
+}
+
+TEST(NeighborStore, FullHeapNeverWidensTheBall) {
+  Rng rng(71);
+  for (const double start : {kInfiniteBall, 0.3}) {
+    NeighborStore store(1, 4);
+    Particle target;
+    target.order = 0;
+    target.ball2 = start;
+    double last = target.ball2;
+    for (int i = 0; i < 200; ++i) {
+      Particle s;
+      s.position = Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                        rng.uniform(-1, 1));
+      s.order = i + 1;
+      store.consider(target, s);
+      EXPECT_LE(target.ball2, last);
+      last = target.ball2;
+      for (const auto& nb : store.neighbors(0)) EXPECT_LT(nb.d2, start);
+    }
+    ASSERT_EQ(store.neighbors(0).size(), 4u);
+    EXPECT_DOUBLE_EQ(target.ball2, store.neighbors(0).front().d2);
+  }
+}
+
+Configuration warmConfig() {
+  Configuration conf = sphConfig();
+  conf.fetch_depth = 1;
+  return conf;
+}
+
+/// Every particle's recorded neighbour set equals its brute-force k
+/// nearest (min(k, n) of them) at the positions the search saw.
+void expectExactNeighbourSets(const std::vector<Particle>& ps,
+                              const NeighborStore& store, int k) {
+  const std::size_t want = std::min(ps.size(), static_cast<std::size_t>(k));
+  std::vector<std::pair<double, int>> d2(ps.size());
+  for (const auto& p : ps) {
+    for (std::size_t j = 0; j < ps.size(); ++j) {
+      d2[j] = {distanceSquared(p.position, ps[j].position), ps[j].order};
+    }
+    std::partial_sort(d2.begin(), d2.begin() + static_cast<long>(want),
+                      d2.end());
+    std::set<int> expected;
+    for (std::size_t n = 0; n < want; ++n) expected.insert(d2[n].second);
+    std::set<int> got;
+    for (const auto& nb : store.neighbors(p.order)) got.insert(nb.order);
+    EXPECT_EQ(got, expected) << "order " << p.order;
+  }
+}
+
+/// Densities of `fields` against a cold solve of the current tree.
+void expectColdDensities(Forest<SphData, OctTreeType>& forest,
+                         const SphParams& params, const SphFields& fields) {
+  SphSolver<SphData, OctTreeType> cold(forest, params);
+  const auto reference = cold.densityPass();
+  EXPECT_FALSE(cold.lastPass().warm);
+  for (std::size_t i = 0; i < fields.density.size(); ++i) {
+    EXPECT_NEAR(fields.density[i], reference.density[i],
+                1e-12 * reference.density[i])
+        << "order " << i;
+  }
+}
+
+TEST(SphWarmStart, NeighbourSetsStayExactOverSteps) {
+  // Drift between steps, and one step where a few particles jump far:
+  // the warm ball is a valid bound each time, so no retry runs.
+  rts::Runtime rt({2, 2});
+  Forest<SphData, OctTreeType> forest(rt, warmConfig());
+  forest.load(makeParticles(clustered(600, 73, 4, 0.1)));
+  forest.decompose();
+  const SphParams params{16};
+  SphSolver<SphData, OctTreeType> solver(forest, params);
+  for (int step = 0; step < 5; ++step) {
+    forest.build();
+    const auto fields = solver.step();
+    EXPECT_EQ(solver.lastPass().warm, step > 0) << "step " << step;
+    EXPECT_EQ(solver.lastPass().traversals, 1) << "step " << step;
+    EXPECT_EQ(solver.lastPass().retried, 0u) << "step " << step;
+    expectExactNeighbourSets(forest.collect(), solver.store(), 16);
+    expectColdDensities(forest, params, fields);
+    const bool jump = step == 2;
+    forest.forEachParticle([jump](Particle& p) {
+      const double o = p.order;
+      p.position += 0.004 * Vec3(std::sin(o), std::cos(1.3 * o),
+                                 std::sin(0.7 * o));
+      if (jump && p.order % 150 == 7) p.position = -2.0 * p.position;
+    });
+    forest.flush();
+  }
+}
+
+/// Makes the prior balls stale, as a half-written prior state would.
+class StaleSolver : public SphSolver<SphData, OctTreeType> {
+ public:
+  using SphSolver::SphSolver;
+  void shrinkPriorBall(int order, double factor) {
+    prior_ball2_[static_cast<std::size_t>(order)] *= factor;
+  }
+};
+
+TEST(SphWarmStart, TooSmallGuessIsSearchedAgainCold) {
+  rts::Runtime rt({2, 2});
+  Forest<SphData, OctTreeType> forest(rt, warmConfig());
+  forest.load(makeParticles(uniformCube(400, 79)));
+  forest.decompose();
+  forest.build();
+  const SphParams params{12};
+  StaleSolver solver(forest, params);
+  solver.step();
+  forest.flush();
+  forest.build();
+  // A radius a tenth of the 12th-neighbour distance holds fewer than 12.
+  for (const int order : {5, 150, 333}) solver.shrinkPriorBall(order, 0.01);
+  const auto fields = solver.step();
+  EXPECT_TRUE(solver.lastPass().warm);
+  EXPECT_EQ(solver.lastPass().retried, 3u);
+  EXPECT_EQ(solver.lastPass().traversals, 2);
+  expectExactNeighbourSets(forest.collect(), solver.store(), 12);
+  expectColdDensities(forest, params, fields);
+  for (const auto& p : forest.collect()) EXPECT_EQ(p.neighbor_count, 12);
+  // The retry recorded a valid prior: the next step needs none.
+  forest.flush();
+  forest.build();
+  solver.step();
+  EXPECT_TRUE(solver.lastPass().warm);
+  EXPECT_EQ(solver.lastPass().retried, 0u);
+  expectExactNeighbourSets(forest.collect(), solver.store(), 12);
+}
+
+TEST(SphWarmStart, UniverseSmallerThanKStaysCold) {
+  rts::Runtime rt({2, 2});
+  Configuration conf = warmConfig();
+  conf.min_partitions = 2;
+  conf.min_subtrees = 2;
+  conf.bucket_size = 4;
+  Forest<SphData, OctTreeType> forest(rt, conf);
+  forest.load(makeParticles(uniformCube(10, 83)));
+  forest.decompose();
+  const SphParams params{16};
+  SphSolver<SphData, OctTreeType> solver(forest, params);
+  for (int step = 0; step < 3; ++step) {
+    forest.build();
+    solver.step();
+    EXPECT_FALSE(solver.lastPass().warm);
+    EXPECT_EQ(solver.lastPass().traversals, 1);
+    EXPECT_EQ(solver.lastPass().retried, 0u);
+    const auto ps = forest.collect();
+    for (const auto& p : ps) EXPECT_EQ(p.neighbor_count, 10);
+    expectExactNeighbourSets(ps, solver.store(), 16);
+    forest.flush();
   }
 }
 
